@@ -79,6 +79,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <string_view>
 #include <string>
 #include <thread>
@@ -120,9 +121,9 @@ std::vector<MixEntry> parse_mix(const std::string& spec) {
     require(colon != std::string::npos,
             "--mix entries must look like kind:weight");
     const std::string name = item.substr(0, colon);
-    require(name == "tip" || name == "global" || name == "edge" ||
-                name == "top",
-            "--mix kinds are tip|global|edge|top, got '" + name + "'");
+    if (name != "tip" && name != "global" && name != "edge" && name != "top")
+      throw std::invalid_argument("--mix kinds are tip|global|edge|top, got '" +
+                                  name + "'");
     const int weight = std::stoi(item.substr(colon + 1));
     require(weight >= 0, "--mix weights must be >= 0");
     mix.push_back({name, weight});
@@ -587,6 +588,12 @@ int main(int argc, char** argv) {
       }
   };
   std::barrier round_barrier(std::max(shards, 1), epoch_boundary);
+  // Start gate for each sharded round. The barrier wakes its waiters one
+  // after another, tens of microseconds apart, which is longer than a
+  // small shard publish takes; without the gate the "racing" publishes of
+  // one round would run back to back. Writers count in, then spin until
+  // the whole round has arrived, so they enter apply together.
+  std::atomic<int> round_gate{0};
 
   if (profile_hz > 0)
     require(obs::Profiler::start(profile_hz),
@@ -639,6 +646,10 @@ int main(int argc, char** argv) {
                                                  r)]);
           };
           for (int e = 0; e < epochs; ++e) {
+            round_gate.fetch_add(1, std::memory_order_acq_rel);
+            while (round_gate.load(std::memory_order_acquire) <
+                   (e + 1) * shards)
+              std::this_thread::yield();
             try {
               if (behind) {
                 replay_through(e);

@@ -21,6 +21,12 @@ void check_fail(const char* expr, const char* file, int line,
   throw CheckError(out.str());
 }
 
+void enforce_fail(std::string_view msg) {
+  std::string what = "validation failed: ";
+  what += msg;
+  throw CheckError(what);
+}
+
 void overflow_fail(const char* op, long long a, long long b) {
   BFC_COUNT_ADD("chk.overflows", 1);
   std::ostringstream out;

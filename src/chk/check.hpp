@@ -14,6 +14,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace bfc::chk {
 
@@ -36,12 +37,16 @@ class CheckError : public std::invalid_argument {
 [[noreturn]] void check_fail(const char* expr, const char* file, int line,
                              const std::string& msg);
 
+/// Throws CheckError("validation failed: <msg>"). Out-of-line and cold: the
+/// message is formatted only once a check has already failed.
+[[noreturn, gnu::cold]] void enforce_fail(std::string_view msg);
+
 /// Always-on building block for the validators: throws CheckError when the
 /// condition is false. Unlike BFC_CHECK this never compiles out — the
 /// validators themselves must fire in every lane; only their call sites on
-/// hot paths are gated.
-inline void enforce(bool cond, const std::string& msg) {
-  if (!cond) throw CheckError("validation failed: " + msg);
+/// hot paths are gated. A passing check costs the branch and nothing else.
+inline void enforce(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] enforce_fail(msg);
 }
 
 }  // namespace bfc::chk

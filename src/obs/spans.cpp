@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -226,6 +227,14 @@ Span::Span(const TraceContext& parent, std::string_view name) {
 void Span::tag(const char* key, std::string_view value) {
   if (!armed_) return;
   rec_.add_tag(key, value);
+}
+
+void Span::tag(const char* key, std::uint64_t value) {
+  if (!armed_) return;
+  std::array<char, 20> buf;  // 2^64 - 1 has 20 decimal digits
+  const char* end =
+      std::to_chars(buf.data(), buf.data() + buf.size(), value).ptr;
+  rec_.add_tag(key, std::string_view(buf.data(), end));
 }
 
 void Span::close() {

@@ -154,6 +154,11 @@ class Span {
   /// must be a literal; the value is copied (truncated past 15 chars).
   void tag(const char* key, std::string_view value);
 
+  /// Integer tag (epoch, signature, shard id, ...): formatted in decimal
+  /// with std::to_chars only when the span is armed, so an inert span pays
+  /// one branch and no formatting. Same truncation as the string form.
+  void tag(const char* key, std::uint64_t value);
+
   /// Stamps the duration and records the span; idempotent.
   void close();
 

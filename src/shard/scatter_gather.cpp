@@ -43,7 +43,7 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
     // time. Two passes share the per-v gather; the second needs the full
     // multiplicities, so it cannot fuse into the first.
     obs::Span span(trace, "svc.scatter");
-    span.tag("shards", std::to_string(shards));
+    span.tag("shards", static_cast<std::uint64_t>(shards));
     for (vidx_t v = 0; v < n2; ++v) {
       cancel.checkpoint("shard::ScatterGather::compute");
       int populated = 0;
@@ -105,7 +105,7 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
               [](const count::VertexPair& x, const count::VertexPair& y) {
                 return count::pair_order(x, y);
               });
-    span.tag("pairs", std::to_string(agg.pairs.size()));
+    span.tag("pairs", agg.pairs.size());
   }
 
   BFC_COUNT_ADD("svc.cross_passes", 1);

@@ -1,11 +1,30 @@
 #include "shard/shard.hpp"
 
+#include <stdexcept>
 #include <string>
 
 #include "chk/validate.hpp"
 #include "obs/metrics.hpp"
 
 namespace bfc::shard {
+namespace {
+
+[[noreturn, gnu::cold, gnu::noinline]] void throw_misrouted(
+    const char* who, vidx_t u, vidx_t lo, vidx_t hi, int id) {
+  throw std::invalid_argument(
+      std::string(who) + ": update routed to the wrong shard (u=" +
+      std::to_string(u) + " outside [" + std::to_string(lo) + ", " +
+      std::to_string(hi) + ") of shard " + std::to_string(id) + ")");
+}
+
+}  // namespace
+
+void require_routed(std::span<const svc::EdgeUpdate> batch, const char* who,
+                    vidx_t lo, vidx_t hi, int id) {
+  for (const svc::EdgeUpdate& up : batch)
+    if (!(lo <= up.u && up.u < hi)) [[unlikely]]
+      throw_misrouted(who, up.u, lo, hi, id);
+}
 
 LocalShard::LocalShard(int id, vidx_t n1, vidx_t n2, vidx_t lo, vidx_t hi)
     : id_(id), lo_(lo), hi_(hi), store_(n1, n2, id) {
@@ -23,12 +42,7 @@ LocalShard::LocalShard(int id, vidx_t n1, vidx_t n2, vidx_t lo, vidx_t hi)
 }
 
 svc::PublishResult LocalShard::apply(std::span<const svc::EdgeUpdate> batch) {
-  for (const svc::EdgeUpdate& up : batch)
-    require(lo_ <= up.u && up.u < hi_,
-            "LocalShard: update routed to the wrong shard (u=" +
-                std::to_string(up.u) + " outside [" + std::to_string(lo_) +
-                ", " + std::to_string(hi_) + ") of shard " +
-                std::to_string(id_) + ")");
+  require_routed(batch, "LocalShard", lo_, hi_, id_);
   svc::PublishResult result = store_.apply_batch(batch);
   if (publishes_ != nullptr) publishes_->increment();
   return result;

@@ -68,6 +68,14 @@ class ShardHandle {
 
 using ShardHandlePtr = std::shared_ptr<ShardHandle>;
 
+/// Ownership check shared by the ShardHandle::apply implementations: throws
+/// std::invalid_argument("<who>: update routed to the wrong shard (u=<u>
+/// outside [<lo>, <hi>) of shard <id>)") for the first update whose V1
+/// endpoint lies outside [lo, hi). A routed batch costs one comparison per
+/// update; the message is formatted only for the offending update.
+void require_routed(std::span<const svc::EdgeUpdate> batch, const char* who,
+                    vidx_t lo, vidx_t hi, int id);
+
 /// In-process shard: a SnapshotStore plus ownership checks and a
 /// construction-bound svc.shard.<id>.publishes counter.
 class LocalShard final : public ShardHandle {

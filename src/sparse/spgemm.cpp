@@ -49,6 +49,9 @@ count_t gram_pairwise_butterflies(const CsrPattern& a, const CsrPattern& at) {
           "gram_pairwise_butterflies: at is not transpose-shaped");
   std::vector<count_t> acc(static_cast<std::size_t>(a.rows()), 0);
   std::vector<vidx_t> touched;
+  // At most a.rows() distinct j per row: one allocation up front instead of
+  // a growth series whose length depends on the densest row.
+  touched.reserve(static_cast<std::size_t>(a.rows()));
   count_t total = 0;
   count_t obs_wedges = 0;
   for (vidx_t i = 0; i < a.rows(); ++i) {

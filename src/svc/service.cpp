@@ -69,6 +69,10 @@ void span_tag(const SpanPtr& span, const char* key, std::string_view value) {
   if (span) span->tag(key, value);
 }
 
+void span_tag(const SpanPtr& span, const char* key, std::uint64_t value) {
+  if (span) span->tag(key, value);
+}
+
 obs::TraceContext span_ctx(const SpanPtr& span) {
   return span ? span->context() : obs::TraceContext{};
 }
@@ -303,7 +307,7 @@ std::future<QueryResult<count_t>> ButterflyService::global_count(Request req) {
   // Maintained incrementally by the writer: answering is one field read.
   BFC_HIST_OBSERVE("svc.latency_us.global", 0);
   observe_latency(QueryKind::kGlobalCount, 0.0);
-  span.tag("epoch", std::to_string(snap->epoch));
+  span.tag("epoch", snap->epoch);
   span.tag("outcome", "exact");
   return ready_future(
       QueryResult<count_t>{snap->butterflies, snap->epoch, Fidelity::kExact});
@@ -332,7 +336,7 @@ std::future<QueryResult<count_t>> ButterflyService::vertex_tip(vidx_t vertex,
   BFC_COUNT_ADD("svc.queries", 1);
   const SpanPtr span = open_span(
       root_context(req), v1_side ? "svc.query.tip_v1" : "svc.query.tip_v2");
-  span_tag(span, "epoch", std::to_string(snap->epoch));
+  span_tag(span, "epoch", snap->epoch);
   const CacheKey key{snap->epoch, kind, vertex, 0};
   if (const auto hit = cache_.get(key)) {
     if (v1_side)
@@ -417,7 +421,7 @@ std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
   SnapshotPtr snap = req.snap ? std::move(req.snap) : store_.shard_snapshot(0);
   BFC_COUNT_ADD("svc.queries", 1);
   const SpanPtr span = open_span(root_context(req), "svc.query.edge");
-  span_tag(span, "epoch", std::to_string(snap->epoch));
+  span_tag(span, "epoch", snap->epoch);
   const CacheKey key{snap->epoch, QueryKind::kEdgeSupport, u, v};
   if (const auto hit = cache_.get(key)) {
     BFC_HIST_OBSERVE("svc.latency_us.edge", 0);
@@ -477,7 +481,7 @@ std::future<QueryResult<TopPairsPtr>> ButterflyService::top_pairs(
   SnapshotPtr snap = req.snap ? std::move(req.snap) : store_.shard_snapshot(0);
   BFC_COUNT_ADD("svc.queries", 1);
   const SpanPtr span = open_span(root_context(req), "svc.query.top_pairs");
-  span_tag(span, "epoch", std::to_string(snap->epoch));
+  span_tag(span, "epoch", snap->epoch);
   const CacheKey key{snap->epoch, QueryKind::kTopPairs,
                      static_cast<std::int64_t>(k), 0};
   if (const auto hit = cache_.get(key)) {
@@ -541,7 +545,7 @@ std::future<QueryResult<count_t>> ButterflyService::sharded_global(
   BFC_COUNT_ADD("svc.queries", 1);
   BFC_COUNT_ADD("svc.scatter_queries", 1);
   const SpanPtr span = open_span(root_context(req), "svc.query.global");
-  span_tag(span, "sig", std::to_string(view->signature));
+  span_tag(span, "sig", view->signature);
   // Partial-result contract: a scatter query folds every range in, so any
   // unreachable shard (its snapshot is the last known epoch, not a fresh
   // pin) downgrades the whole answer to kStale with the per-shard bits in
@@ -653,8 +657,8 @@ std::future<QueryResult<count_t>> ButterflyService::sharded_tip(
   if (!v1_side) BFC_COUNT_ADD("svc.scatter_queries", 1);
   const SpanPtr span = open_span(
       root_context(req), v1_side ? "svc.query.tip_v1" : "svc.query.tip_v2");
-  span_tag(span, "sig", std::to_string(view->signature));
-  if (owner >= 0) span_tag(span, "shard", std::to_string(owner));
+  span_tag(span, "sig", view->signature);
+  if (owner >= 0) span_tag(span, "shard", static_cast<std::uint64_t>(owner));
   // Routed (tip_v1): stale only when the OWNER range is dark — a dead
   // shard can take no publishes, so every other range's answer is exact
   // for the pinned view (the per-vertex locality argument). Scattered
@@ -770,8 +774,8 @@ std::future<QueryResult<count_t>> ButterflyService::sharded_edge(
   const int owner = store_.partition().owner(u);
   BFC_COUNT_ADD("svc.queries", 1);
   const SpanPtr span = open_span(root_context(req), "svc.query.edge");
-  span_tag(span, "sig", std::to_string(view->signature));
-  span_tag(span, "shard", std::to_string(owner));
+  span_tag(span, "sig", view->signature);
+  span_tag(span, "shard", static_cast<std::uint64_t>(owner));
   // Routed query: only the owner range's darkness taints the answer (see
   // sharded_tip).
   const std::uint64_t qmask =
@@ -841,7 +845,7 @@ std::future<QueryResult<TopPairsPtr>> ButterflyService::sharded_top_pairs(
   BFC_COUNT_ADD("svc.queries", 1);
   BFC_COUNT_ADD("svc.scatter_queries", 1);
   const SpanPtr span = open_span(root_context(req), "svc.query.top_pairs");
-  span_tag(span, "sig", std::to_string(view->signature));
+  span_tag(span, "sig", view->signature);
   // Scatter query: any dark shard taints the merged list (see
   // sharded_global).
   const std::uint64_t qmask = view->stale_mask;
@@ -1268,8 +1272,9 @@ ButterflyService::TipVector ButterflyService::tips_for(
     // waiter's own query span references the same pass only through timing.
     obs::Span kernel_span(
         trace, v1_side ? "svc.kernel.tip_v1" : "svc.kernel.tip_v2");
-    kernel_span.tag("epoch", std::to_string(snap->epoch));
-    if (shards_ > 1) kernel_span.tag("shard", std::to_string(shard));
+    kernel_span.tag("epoch", snap->epoch);
+    if (shards_ > 1)
+      kernel_span.tag("shard", static_cast<std::uint64_t>(shard));
     try {
       // Checked builds can inject latency here to force deadline expiry
       // mid-pass (fault::Point::kSlowKernel, param = milliseconds).

@@ -125,8 +125,8 @@ PublishResult SnapshotStore::apply_batch(std::span<const EdgeUpdate> batch) {
 
   head_store(std::move(snap));
   if (pub_span.armed()) {
-    pub_span.tag("shard", std::to_string(shard_id_));
-    pub_span.tag("epoch", std::to_string(result.epoch));
+    pub_span.tag("shard", static_cast<std::uint64_t>(shard_id_));
+    pub_span.tag("epoch", result.epoch);
   }
   BFC_COUNT_ADD("svc.epochs_published", 1);
   BFC_COUNT_ADD("svc.updates_applied", result.applied);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace bfc {
 
@@ -28,9 +29,14 @@ using count_t = std::int64_t;
 }
 
 /// Throwing check used at API boundaries (argument validation), as opposed to
-/// assert() which guards internal invariants.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw std::invalid_argument(msg);
+/// assert() which guards internal invariants. The message is a view, so a
+/// passing check with a literal message allocates nothing; the exception's
+/// string is built only on failure. A message that needs formatting belongs
+/// in a cold helper that runs after the condition failed (see the
+/// eager-check-message rule in docs/static-analysis.md).
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]]
+    throw std::invalid_argument(std::string(msg));
 }
 
 }  // namespace bfc

@@ -718,6 +718,77 @@ TEST(AnalyzeRetry, QuietOnIdempotentRetryAndRethrowingCatch) {
           .empty());
 }
 
+// ------------------------------------------------------ eager-check-message
+
+TEST(AnalyzeEagerCheck, FiresOnFormattedMessagesInsideLoops) {
+  const std::string code =
+      "void validate_rows(const Csr& a) {\n"
+      "  for (vidx_t r = 0; r < a.rows(); ++r) {\n"
+      "    enforce(a.ok(r), at_row(\"csr: bad\", r));\n"
+      "    for (const vidx_t c : a.row(r))\n"
+      "      require(c >= 0, \"bad column at row \" + std::to_string(r));\n"
+      "  }\n"
+      "  while (more()) BFC_CHECK_MSG(step(), std::string(\"x\"));\n"
+      "}\n";
+  const auto fs =
+      of_rule(analyze_one("src/chk/x.cpp", code), "eager-check-message");
+  ASSERT_EQ(fs.size(), 3u);
+  EXPECT_EQ(fs[0].line, 3);
+  EXPECT_EQ(fs[1].line, 5);  // nested loop: reported once, not per loop
+  EXPECT_EQ(fs[2].line, 7);
+}
+
+TEST(AnalyzeEagerCheck, FiresOnToStringSpanTagValues) {
+  const std::string code =
+      "void publish(obs::Span& span, const SpanPtr& sp, Snap s) {\n"
+      "  span.tag(\"epoch\", std::to_string(s.epoch));\n"
+      "  span_tag(sp, \"sig\", to_string(s.sig));\n"
+      "}\n";
+  const auto fs =
+      of_rule(analyze_one("src/svc/x.cpp", code), "eager-check-message");
+  ASSERT_EQ(fs.size(), 2u);
+  EXPECT_EQ(fs[0].line, 2);
+  EXPECT_EQ(fs[1].line, 3);
+}
+
+TEST(AnalyzeEagerCheck, QuietOnLiteralsColdHelpersAndChecksOutsideLoops) {
+  const std::string code =
+      // Literal message in a loop: nothing is built on the passing path.
+      "void rows(const Csr& a) {\n"
+      "  for (vidx_t r = 0; r < a.rows(); ++r) {\n"
+      "    enforce(a.ok(r), \"csr: bad row\");\n"
+      "    enforce_at(a.ok(r), \"csr: bad row\", r);\n"
+      "    require(a.row_ptr(r) + 1 > 0, \"csr: literal\");\n"
+      "    if (!a.sorted(r)) fail_at(\"csr: unsorted\", r);\n"
+      "  }\n"
+      "}\n"
+      // Formatted message outside any loop: paid once per call, allowed.
+      "void once(int lo, int hi) {\n"
+      "  require(lo <= hi, \"range [\" + std::to_string(lo) + \")\");\n"
+      "}\n"
+      // Integer tags format only when armed; string tags are literals.
+      "void tags(obs::Span& span, const SpanPtr& sp, Snap s) {\n"
+      "  span.tag(\"epoch\", s.epoch);\n"
+      "  span_tag(sp, \"outcome\", \"exact\");\n"
+      "  span.tag(\"name\", name_of(std::to_string(s.kind)));\n"
+      "}\n";
+  EXPECT_TRUE(
+      of_rule(analyze_one("src/svc/x.cpp", code), "eager-check-message")
+          .empty());
+}
+
+TEST(AnalyzeEagerCheck, SuppressionWithRationaleSilences) {
+  const std::string code =
+      "void parse(const std::vector<std::string>& args) {\n"
+      "  for (const std::string& a : args)\n"
+      "    // bfc-analyze: eager-check-message-ok CLI parse, runs once\n"
+      "    require(!a.empty(), \"empty arg after \" + a);\n"
+      "}\n";
+  EXPECT_TRUE(
+      of_rule(analyze_one("bench/x.cpp", code), "eager-check-message")
+          .empty());
+}
+
 // ----------------------------------------------------- deadline-propagation
 
 TEST(AnalyzeDeadline, FiresWhenDeadlineParamNotThreaded) {

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chk/check.hpp"
@@ -209,6 +211,96 @@ TEST(ChkSnapshot, EpochMustAdvanceByOne) {
   EXPECT_THROW(chk::validate_epoch_transition(prev, next), chk::CheckError);
   next.epoch = prev.epoch + 2;  // skipped
   EXPECT_THROW(chk::validate_epoch_transition(prev, next), chk::CheckError);
+}
+
+// --- exact failure text -----------------------------------------------
+// The validators format their messages only after a check has failed; the
+// text a caller sees must stay byte-identical to the eager formatting it
+// replaced ("validation failed: <what> at row <r>").
+
+/// what() of the CheckError thrown by `fn`; fails the test if none is.
+template <typename Fn>
+std::string check_error_text(Fn&& fn) {
+  try {
+    fn();
+  } catch (const chk::CheckError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected chk::CheckError";
+  return {};
+}
+
+TEST(ChkFailureText, UnsortedRowNamesTheRow) {
+  RawCsr r;
+  r.col_idx = {0, 3, 2, 1};  // row 2 holds {2, 1}
+  EXPECT_EQ(check_error_text([&] { validate_raw(r); }),
+            "validation failed: csr: row not sorted/unique at row 2");
+}
+
+TEST(ChkFailureText, OutOfRangeColumnNamesTheRow) {
+  RawCsr r;
+  r.col_idx = {0, 3, 1, 4};  // cols == 4
+  EXPECT_EQ(check_error_text([&] { validate_raw(r); }),
+            "validation failed: csr: column index out of range at row 2");
+}
+
+TEST(ChkFailureText, NonMonotoneRowPtrNamesTheRow) {
+  RawCsr r;
+  r.row_ptr = {0, 2, 1, 4};  // row 1 would span [2, 1)
+  EXPECT_EQ(check_error_text([&] { validate_raw(r); }),
+            "validation failed: csr: row_ptr not monotone at row 1");
+}
+
+TEST(ChkFailureText, ConstructorCarriesTheSameText) {
+  EXPECT_EQ(check_error_text([] {
+              (void)sparse::CsrPattern(2, 3, {0, 2, 2}, {1, 0});
+            }),
+            "validation failed: csr: row not sorted/unique at row 0");
+}
+
+TEST(ChkFailureText, MirrorEdgeMissingFromTransposeNamesTheRow) {
+  // a = {(0,0), (1,2)}; `wrong` has the right shape and nnz but holds
+  // (1,1) where the transpose needs (2,1).
+  const sparse::CsrPattern a(2, 3, {0, 1, 2}, {0, 2});
+  const sparse::CsrPattern wrong(3, 2, {0, 1, 2, 2}, {0, 1});
+  EXPECT_EQ(check_error_text([&] { chk::validate_mirror(a, wrong); }),
+            "validation failed: mirror: edge missing from transpose at row 1");
+}
+
+TEST(ChkFailureText, ShardRangeChecksNameTheRowAndTheRange) {
+  const graph::BipartiteGraph g(
+      sparse::CsrPattern(4, 2, {0, 1, 1, 1, 2}, {0, 1}));
+  EXPECT_NO_THROW(chk::validate_shard_range(g, 0, 4));
+  EXPECT_EQ(check_error_text([&] { chk::validate_shard_range(g, 0, 2); }),
+            "validation failed: shard graph: edge on a V1 vertex outside "
+            "the owned range at row 3");
+  EXPECT_EQ(check_error_text([&] { chk::validate_shard_range(g, 2, 5); }),
+            "validation failed: shard graph: owned range [2, 5) not inside "
+            "[0, 4)");
+}
+
+TEST(ChkFailureText, EpochTransitionReportsBothEpochs) {
+  svc::GraphSnapshot prev;
+  prev.epoch = 7;
+  svc::GraphSnapshot next;
+  next.epoch = 9;
+  EXPECT_EQ(
+      check_error_text([&] { chk::validate_epoch_transition(prev, next); }),
+      "validation failed: snapshot: epoch did not advance by exactly one "
+      "(got 9 after 7)");
+}
+
+TEST(ChkFailureText, RequireAndEnforceKeepTheirExceptionTypes) {
+  try {
+    require(false, "some api: bad argument");
+    ADD_FAILURE() << "require(false, ...) must throw";
+  } catch (const chk::CheckError&) {
+    ADD_FAILURE() << "require throws plain std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "some api: bad argument");
+  }
+  EXPECT_EQ(check_error_text([] { chk::enforce(false, "literal"); }),
+            "validation failed: literal");
 }
 
 // --- overflow-checked arithmetic --------------------------------------

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "count/baselines.hpp"
 #include "gen/generators.hpp"
@@ -27,6 +30,23 @@ TEST(Relabel, RejectsInvalidPermutations) {
   EXPECT_THROW(relabel(g, {0, 1, 2}, {0, 1, 2, 3}), std::invalid_argument);
   EXPECT_THROW(relabel(g, {0, 1, 2, 2}, {0, 1, 2, 3}), std::invalid_argument);
   EXPECT_THROW(relabel(g, {0, 1, 2, 4}, {0, 1, 2, 3}), std::invalid_argument);
+}
+
+TEST(Relabel, InvalidPermutationMessagesNameTheSideAndProblem) {
+  const auto g = random_graph(4, 4, 0.5, 2);
+  const auto message = [&](std::vector<vidx_t> p1, std::vector<vidx_t> p2) {
+    try {
+      (void)relabel(g, p1, p2);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message({0, 1, 2}, {0, 1, 2, 3}),
+            "relabel v1: permutation size mismatch");
+  EXPECT_EQ(message({0, 1, 2, 3}, {0, 1, 3, 3}), "relabel v2: duplicate entry");
+  EXPECT_EQ(message({0, 1, -1, 3}, {0, 1, 2, 3}),
+            "relabel v1: entry out of range");
 }
 
 TEST(Relabel, EdgesMapThroughPermutation) {

@@ -11,6 +11,7 @@
 #include <barrier>
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "shard/partition.hpp"
 #include "shard/router.hpp"
 #include "shard/scatter_gather.hpp"
+#include "shard/shard.hpp"
 #include "shard/sharded_store.hpp"
 #include "sparse/ops.hpp"
 #include "svc/fault.hpp"
@@ -242,6 +244,27 @@ TEST(ShardParity, ShardScopedApplyEnforcesOwnership) {
                std::invalid_argument);
   EXPECT_THROW(service.apply_updates_shard(-1, {EdgeUpdate::add(0, 0)}),
                std::invalid_argument);
+}
+
+TEST(ShardParity, WrongShardUpdateMessageIsExact) {
+  shard::LocalShard shard(1, 12, 10, 4, 8);
+  const std::vector<EdgeUpdate> owned = {EdgeUpdate::add(4, 0),
+                                         EdgeUpdate::add(7, 1)};
+  EXPECT_NO_THROW(shard.apply(owned));
+  const std::vector<EdgeUpdate> batch = {EdgeUpdate::add(5, 0),
+                                         EdgeUpdate::add(9, 2),
+                                         EdgeUpdate::add(2, 3)};
+  try {
+    shard.apply(batch);
+    ADD_FAILURE() << "a misrouted update must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "LocalShard: update routed to the wrong shard (u=9 outside "
+                 "[4, 8) of shard 1)");
+  }
+  // The whole batch is checked before anything is applied.
+  EXPECT_EQ(shard.epoch(), 1u);
+  EXPECT_EQ(shard.pin()->edges, 2);
 }
 
 TEST(ShardParity, PersistRestoreRoundTripSharded) {

@@ -17,6 +17,8 @@
 //   retry-idempotence       retry loops wrap only idempotent RPCs
 //   deadline-propagation    deadlines reach every blocking leg; no blocking
 //                           syscall under a live lock guard
+//   eager-check-message     no message formatting on a passing check in a
+//                           loop; no std::to_string span tag values
 #pragma once
 
 #include <functional>
@@ -54,7 +56,8 @@ struct Rule {
 [[nodiscard]] const std::vector<Rule>& all_rules();
 
 /// The flow-sensitive rule families (rules_flow.cpp): lifetime-escape,
-/// fd-lifecycle, retry-idempotence, deadline-propagation. Merged into
+/// fd-lifecycle, retry-idempotence, deadline-propagation,
+/// eager-check-message. Merged into
 /// all_rules(); exposed separately for targeted tests.
 [[nodiscard]] std::vector<Rule> flow_rules();
 

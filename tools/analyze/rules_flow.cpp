@@ -1,8 +1,9 @@
-// The four flow-sensitive rule families, built on the flow layer
-// (flow.hpp): lifetime-escape, fd-lifecycle, retry-idempotence and
-// deadline-propagation. Each one encodes an invariant that a shipped bug
+// The flow-sensitive rule families, built on the flow layer (flow.hpp):
+// lifetime-escape, fd-lifecycle, retry-idempotence, deadline-propagation
+// and eager-check-message. Each one encodes an invariant that a shipped bug
 // actually violated (the PR 9 Cursor-over-temporary bugs, the call_host
-// fd double-close, RemoteShard's retry/deadline contracts), as a
+// fd double-close, RemoteShard's retry/deadline contracts, the CSR
+// validator formatting a message per nonzero), as a
 // branch/merge-approximating walk over each function body:
 //
 //  * lifetime-escape     a view type (string_view / span / wire::Cursor)
@@ -25,8 +26,13 @@
 //                        every blocking leg, and no blocking call may run
 //                        while a MutexLock/WriterLock/SharedLock guard is
 //                        live.
+//  * eager-check-message a require/enforce/BFC_CHECK_MSG inside a loop
+//                        must not build its message string before the
+//                        condition is known, and a span tag value must
+//                        not be a std::to_string(...) — both are paid on
+//                        the passing path.
 //
-// All four are may-analyses over the region tree: evaluating both arms of
+// All are may-analyses over the region tree: evaluating both arms of
 // every branch and merging errs on the loud side, and anything deliberate
 // is silenced with a suppress-with-rationale marker at the call site.
 #include <algorithm>
@@ -1054,6 +1060,113 @@ void run_deadline_propagation(const SourceFile& f, const RuleContext&,
   }
 }
 
+// ========================= eager-check-message ==========================
+
+/// Checks whose message argument is evaluated before the condition is
+/// looked at: a formatted message is paid for on every passing call.
+const std::set<std::string>& check_calls() {
+  static const std::set<std::string> k = {"require", "enforce",
+                                          "BFC_CHECK_MSG"};
+  return k;
+}
+
+/// First token of the last top-level argument of the call whose '(' is at
+/// `open`, or `close` when the call has fewer than two arguments.
+[[nodiscard]] std::size_t last_arg_begin(const Tokens& t, std::size_t open,
+                                         std::size_t close) {
+  std::size_t begin = close;
+  for (std::size_t j = open + 1; j < close; ++j) {
+    if (t[j].punct("(") || t[j].punct("[") || t[j].punct("{"))
+      j = match_bracket(t, j);
+    else if (t[j].punct(","))
+      begin = j + 1;
+  }
+  return begin;
+}
+
+/// True when [b, e) builds a std::string: concatenation, to_string,
+/// an explicit std::string(...) or a row-message helper at_row(...).
+[[nodiscard]] bool builds_string(const Tokens& t, std::size_t b,
+                                 std::size_t e) {
+  for (std::size_t j = b; j < e; ++j) {
+    if (t[j].punct("+") || t[j].ident("to_string")) return true;
+    if (j + 1 < e && t[j].ident("at_row") && t[j + 1].punct("(")) return true;
+    if (j + 3 < e && t[j].ident("std") && t[j + 1].punct("::") &&
+        t[j + 2].ident("string") && t[j + 3].punct("("))
+      return true;
+  }
+  return false;
+}
+
+struct EagerCheckScan {
+  const SourceFile& f;
+  const Tokens& t;
+  std::vector<Finding>& out;
+
+  void scan_loop_body(std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i + 1 < to && i + 1 < t.size(); ++i) {
+      if (!is_call_at(t, i) || check_calls().count(t[i].text) == 0) continue;
+      if (i > from && t[i - 1].kind == Tok::kIdent)
+        continue;  // a declaration like `void require(`, not a call
+      const std::size_t close = match_bracket(t, i + 1);
+      if (close >= t.size()) continue;
+      if (!builds_string(t, last_arg_begin(t, i + 1, close), close)) continue;
+      emit(f, "eager-check-message", t[i],
+           "'" + t[i].text + "' inside a loop formats its message on every "
+           "iteration, even when the check passes; pass a literal, or test "
+           "the condition and build the message in a cold helper that runs "
+           "only on failure (docs/static-analysis.md#eager-check-message)",
+           out);
+    }
+  }
+
+  void walk(const std::vector<Stmt>& ss) {
+    for (const Stmt& s : ss) {
+      if (s.kind == Stmt::Kind::kLoop) {
+        // The whole body, nested loops included, is scanned once here.
+        if (!s.blocks.empty())
+          scan_loop_body(s.blocks[0].begin, s.blocks[0].end);
+        continue;
+      }
+      walk(s.blocks);
+    }
+  }
+};
+
+/// `.tag(k, std::to_string(x))` / `span_tag(s, k, std::to_string(x))`:
+/// the value is formatted even when the span is inert.
+void scan_eager_tags(const SourceFile& f, std::vector<Finding>& out) {
+  const Tokens& t = f.lex.tokens;
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    const bool member_tag = t[i].ident("tag") && i > 0 &&
+                            (t[i - 1].punct(".") || t[i - 1].punct("->"));
+    const bool helper_tag = t[i].ident("span_tag") &&
+                            !(i > 0 && t[i - 1].kind == Tok::kIdent);
+    if (!(member_tag || helper_tag) || !t[i + 1].punct("(")) continue;
+    const std::size_t close = match_bracket(t, i + 1);
+    if (close >= t.size()) continue;
+    std::size_t v = last_arg_begin(t, i + 1, close);
+    if (v + 1 < close && t[v].ident("std") && t[v + 1].punct("::")) v += 2;
+    if (!(v + 1 < close && t[v].ident("to_string") && t[v + 1].punct("(")))
+      continue;
+    emit(f, "eager-check-message", t[i],
+         "span tag value built with std::to_string formats on every call, "
+         "even when tracing is off; pass the integer to the "
+         "tag(key, std::uint64_t) overload, which formats only when the "
+         "span is armed (docs/static-analysis.md#eager-check-message)",
+         out);
+  }
+}
+
+void run_eager_check_message(const SourceFile& f, const RuleContext&,
+                             std::vector<Finding>& out) {
+  for (const FuncInfo& fn : extract_functions(f)) {
+    EagerCheckScan scan{f, f.lex.tokens, out};
+    scan.walk(fn.body);
+  }
+  scan_eager_tags(f, out);
+}
+
 }  // namespace
 
 std::vector<Rule> flow_rules() {
@@ -1077,6 +1190,11 @@ std::vector<Rule> flow_rules() {
            "blocking leg, and no blocking call may run under a live "
            "MutexLock/WriterLock/SharedLock guard",
            run_deadline_propagation},
+      Rule{"eager-check-message",
+           "passing checks and inert span tags must not format: no string "
+           "building in a require/enforce/BFC_CHECK_MSG message inside a "
+           "loop, no std::to_string span tag values",
+           run_eager_check_message},
   };
 }
 
