@@ -1,6 +1,6 @@
 // Closed-loop load generator for the serving subsystem (src/svc/): N reader
 // threads issue a configurable mix of butterfly queries against pinned
-// snapshots while one writer thread applies edge-update batches and
+// views while one writer thread applies edge-update batches and
 // publishes epochs underneath them. Emits a throughput / p50 / p95 / p99
 // latency table per query kind, and the usual RunReport (--json) with every
 // latency sample plus the svc.* counters (cache hits, coalesced batches,
@@ -22,11 +22,11 @@
 // Sharded mode partitions the V1 range across N independent stores and
 // exercises the scatter-gather query plane: one writer per shard publishes
 // disjoint-range batches with rounds aligned on a barrier (so the per-shard
-// publish spans genuinely race), readers pin shard views instead of
-// materialised snapshots, and the run fails unless the sharded count matches
-// both a from-scratch recount and a sequential --shards 1 replay of the same
-// scripted batches. --zipf theta (YCSB skew, rank 0 hottest) concentrates
-// keys on the low shards so the per-shard cache hit-rate spread is visible.
+// publish spans genuinely race), and the run fails unless the sharded count
+// matches both a from-scratch recount and a sequential --shards 1 replay of
+// the same scripted batches. --zipf theta (YCSB skew, rank 0 hottest)
+// concentrates keys on the low shards so the per-shard cache hit-rate
+// spread is visible.
 //
 //   ./serving --shards 4 [--zipf 0.9]
 //
@@ -152,17 +152,6 @@ svc::ShedPolicy parse_policy(const std::string& name) {
   require(false, "--policy must be reject|drop-oldest|deadline, got '" +
                      name + "'");
   return svc::ShedPolicy::kRejectNew;  // unreachable
-}
-
-/// Uniform present edge of the pinned snapshot via the CSR row pointers.
-std::pair<vidx_t, vidx_t> random_edge(const svc::SnapshotPtr& snap, Rng& rng) {
-  const sparse::CsrPattern& a = snap->graph.csr();
-  const auto k = static_cast<offset_t>(
-      rng.bounded(static_cast<std::uint64_t>(snap->edges)));
-  const auto& rp = a.row_ptr();
-  const auto it = std::upper_bound(rp.begin(), rp.end(), k);
-  const auto u = static_cast<vidx_t>(it - rp.begin() - 1);
-  return {u, a.col_idx()[static_cast<std::size_t>(k)]};
 }
 
 /// Uniform present neighbour of `u` in the pinned shard snapshot; when u
@@ -512,6 +501,15 @@ int main(int argc, char** argv) {
 
   const std::int64_t total_queries =
       static_cast<std::int64_t>(readers) * queries_per_reader;
+  // Each reader holds its last two queries back until the final epoch
+  // boundary has reset the latency histograms: a tail of more than
+  // `readers` queries then always follows the final publish, so the
+  // histogram self-check below has observations to check.
+  const int tail_per_reader = std::min(queries_per_reader, 2);
+  const std::int64_t free_queries =
+      total_queries - static_cast<std::int64_t>(readers) * tail_per_reader;
+  std::atomic<bool> tail_open{false};
+  int boundaries = 0;  // epoch boundaries run so far (one thread at a time)
   std::atomic<std::int64_t> completed{0};
   std::atomic<std::int64_t> completed_at_reset{0};
   std::atomic<std::int64_t> degraded_answers{0};
@@ -568,6 +566,7 @@ int main(int argc, char** argv) {
     shard_gen_misses.assign(static_cast<std::size_t>(shards) + 1, 0);
   }
   const auto epoch_boundary = [&]() noexcept {
+    const bool last = ++boundaries == epochs;
     if (!metrics_file.empty()) obs::write_openmetrics_file(metrics_file);
     if constexpr (obs::kMetricsEnabled) {
       for (const char* name : kLatencyHistograms)
@@ -575,8 +574,14 @@ int main(int argc, char** argv) {
       completed_at_reset.store(completed.load(std::memory_order_relaxed),
                                std::memory_order_relaxed);
     }
-    const std::int64_t target = std::min(
-        total_queries, completed.load(std::memory_order_relaxed) + quota);
+    if (last) {
+      tail_open.store(true, std::memory_order_release);
+      tail_open.notify_all();
+    }
+    // Until the tail opens, only the free queries can complete.
+    const std::int64_t target =
+        std::min(last ? total_queries : free_queries,
+                 completed.load(std::memory_order_relaxed) + quota);
     while (completed.load(std::memory_order_relaxed) < target)
       std::this_thread::yield();
     if (sharded)
@@ -715,11 +720,13 @@ int main(int argc, char** argv) {
         std::vector<KindStats>& stats = per_reader[static_cast<std::size_t>(r)];
         Rng rng(cfg.seed + 100 + static_cast<std::uint64_t>(r));
         for (int q = 0; q < queries_per_reader; ++q) {
-          // Pin the consistency unit once per query: a materialised snapshot
-          // in single-shard mode, a shard view (one pointer per shard) when
-          // sharded — materialising the union per query would be O(|E|).
-          const svc::SnapshotPtr snap = sharded ? nullptr : service.snapshot();
-          const shard::ShardViewPtr view = sharded ? service.view() : nullptr;
+          // The last tail_per_reader queries wait for the final publish, so
+          // the epoch-scoped histograms always see a tail to observe.
+          if (q == queries_per_reader - tail_per_reader) tail_open.wait(false);
+          // Pin the consistency unit once per query: a shard view, one
+          // pointer per shard (materialising the union per query would be
+          // O(|E|) once there is more than one).
+          const shard::ShardViewPtr view = service.view();
           // Fresh deadline per request: the budget is relative to *now*.
           const svc::Deadline deadline =
               deadline_ms > 0.0
@@ -728,8 +735,7 @@ int main(int argc, char** argv) {
                         std::chrono::duration<double, std::milli>(
                             deadline_ms)))
                   : svc::Deadline{};
-          const svc::Request req = sharded ? svc::Request(view, deadline)
-                                           : svc::Request(snap, deadline);
+          const svc::Request req(view, deadline);
           const MixEntry& kind = pick(mix, rng, mix_total);
           bool degraded = false;
           bool shed = false;
@@ -746,16 +752,11 @@ int main(int argc, char** argv) {
             } else if (kind.name == "global") {
               (void)service.global_count(req).get();
             } else if (kind.name == "edge") {
-              if (sharded) {
-                const vidx_t u = pick_v1(rng);
-                const svc::SnapshotPtr& owner =
-                    view->shards[static_cast<std::size_t>(part.owner(u))];
-                const auto [eu, ev] = random_edge_at(owner, u, n2, rng);
-                degraded = service.edge_support(eu, ev, req).get().degraded();
-              } else if (snap->edges > 0) {
-                const auto [u, v] = random_edge(snap, rng);
-                degraded = service.edge_support(u, v, req).get().degraded();
-              }
+              const vidx_t u = pick_v1(rng);
+              const svc::SnapshotPtr& owner =
+                  view->shards[static_cast<std::size_t>(part.owner(u))];
+              const auto [eu, ev] = random_edge_at(owner, u, n2, rng);
+              degraded = service.edge_support(eu, ev, req).get().degraded();
             } else {  // top
               degraded = service.top_pairs(8, req).get().degraded();
             }

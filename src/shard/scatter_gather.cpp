@@ -113,9 +113,17 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
   return agg;
 }
 
+CrossAggregatePtr ScatterGather::without_pass(const ShardView& view) {
+  if (view.shard_count() > 1) return nullptr;
+  static const CrossAggregatePtr kNone =
+      std::make_shared<const CrossAggregate>();
+  return kNone;
+}
+
 CrossAggregatePtr ScatterGather::cross(const ShardViewPtr& view,
                                        const CancelToken& cancel,
                                        const obs::TraceContext& trace) {
+  if (CrossAggregatePtr none = without_pass(*view)) return none;
   const std::uint64_t sig = view->signature;
   std::shared_future<CrossAggregatePtr> fut;
   std::promise<CrossAggregatePtr> mine;
@@ -211,9 +219,16 @@ std::optional<CrossAggregatePtr> ScatterGather::latest_ready() const {
   return std::nullopt;
 }
 
+std::optional<CrossAggregatePtr> ScatterGather::at_hand(
+    const ShardView& view) const {
+  if (CrossAggregatePtr none = without_pass(view)) return none;
+  if (auto agg = cached(view.signature)) return agg;
+  return latest_ready();
+}
+
 count_t ScatterGather::global_count(const ShardView& view,
                                     const CrossAggregate& cross) {
-  BFC_COUNT_ADD("svc.gather_merges", 1);
+  if (view.shard_count() > 1) BFC_COUNT_ADD("svc.gather_merges", 1);
   return chk::checked_add(view.local_butterflies(), cross.butterflies);
 }
 
@@ -242,7 +257,7 @@ count_t ScatterGather::edge_support_cross(const ShardView& view, int owner,
 std::vector<count::VertexPair> ScatterGather::merge_top_pairs(
     const std::vector<std::vector<count::VertexPair>>& per_shard,
     std::span<const count::VertexPair> cross_pairs, std::size_t k) {
-  BFC_COUNT_ADD("svc.gather_merges", 1);
+  if (per_shard.size() > 1) BFC_COUNT_ADD("svc.gather_merges", 1);
   if (k == 0) return {};
   std::vector<count::VertexPair> all;
   std::size_t total = cross_pairs.size();

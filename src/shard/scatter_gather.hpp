@@ -26,6 +26,10 @@
 //                       in the global top k must be in its shard's top k)
 //                       and the cross pairs, ranked by count::pair_order.
 //
+// A one-shard view (the single store) has no cross pairs at all: its
+// aggregate is a shared empty one, handed out without a pass or a lock, so
+// Ξ = Σ local + cross reduces to the shard's own count.
+//
 // One cross pass serves every scatter query at a given view signature: the
 // planner memoises the aggregate per signature (keeping the latest two, so
 // the degrade ladder has a stale rung) and coalesces concurrent computes
@@ -79,6 +83,11 @@ class ScatterGather {
  public:
   ScatterGather() = default;
 
+  /// The aggregate of a view whose V1 pairs cannot straddle shards (one
+  /// shard): a shared empty aggregate, no pass, no memo lock. Null when the
+  /// view needs a pass.
+  [[nodiscard]] static CrossAggregatePtr without_pass(const ShardView& view);
+
   /// The cross aggregate for `view`, computed at most once per signature
   /// (concurrent callers coalesce onto one shared future; the computing
   /// caller's token cancels for everyone, and CancelledError propagates to
@@ -101,6 +110,12 @@ class ScatterGather {
   /// Most recently completed aggregate of ANY signature, if one survives.
   [[nodiscard]] std::optional<CrossAggregatePtr> latest_ready() const;
 
+  /// An aggregate usable for `view` without computing one: without_pass,
+  /// else the memo at its signature, else latest_ready() — the mixed-
+  /// freshness cross term of the degrade ladder.
+  [[nodiscard]] std::optional<CrossAggregatePtr> at_hand(
+      const ShardView& view) const;
+
   // ---- pure kernels (no memo, no locks) ----------------------------------
 
   /// One sequential cancellable pass over the view (see file comment).
@@ -108,7 +123,8 @@ class ScatterGather {
       const ShardView& view, const CancelToken& cancel = {},
       const obs::TraceContext& trace = {});
 
-  /// Exact global count: Σ shard-local + cross.
+  /// Exact global count: Σ shard-local + cross (a gather merge only when
+  /// there is more than one shard to merge).
   [[nodiscard]] static count_t global_count(const ShardView& view,
                                             const CrossAggregate& cross);
 

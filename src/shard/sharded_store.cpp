@@ -106,21 +106,20 @@ svc::PublishResult ShardedSnapshotStore::apply_to_shard(
 
 ShardViewPtr ShardedSnapshotStore::view() const {
   const ShardMapPtr map = map_load();
-  auto v = std::make_shared<ShardView>();
-  v->shards.reserve(map->shards.size());
+  std::vector<svc::SnapshotPtr> pinned;
+  pinned.reserve(map->shards.size());
+  std::uint64_t stale_mask = 0;
   for (std::size_t k = 0; k < map->shards.size(); ++k) {
     const ShardHandlePtr& h = map->shards[k];
-    v->shards.push_back(h->pin());
+    pinned.push_back(h->pin());
     // healthy() AFTER pin(): a RemoteShard discovers a dead host during
     // the pin, so probing first would blame a healthy snapshot on a shard
     // that only just failed (or miss a failure by one view).
     // k < 64 always holds (constructor refuses wider layouts), so every
     // unhealthy shard is representable in the mask.
-    if (!h->healthy()) v->stale_mask |= std::uint64_t{1} << k;
+    if (!h->healthy()) stale_mask |= std::uint64_t{1} << k;
   }
-  v->version = version();
-  v->signature = ShardView::signature_of(v->shards);
-  return v;
+  return ShardView::of(std::move(pinned), stale_mask);
 }
 
 svc::SnapshotPtr ShardedSnapshotStore::shard_snapshot(int k) const {

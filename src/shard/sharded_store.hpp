@@ -82,7 +82,9 @@ class ShardedSnapshotStore {
   [[nodiscard]] std::uint64_t epoch() const;
 
   /// Global monotone publish counter: incremented once per shard publish,
-  /// in publish order as the shards' own epoch sequences interleave.
+  /// in publish order as the shards' own epoch sequences interleave. A
+  /// pinned view's version is instead the Σ of its shard epochs; the two
+  /// agree until a restore or swap_shard rewinds a shard's epoch sequence.
   [[nodiscard]] std::uint64_t version() const noexcept {
     // relaxed: a monotone freshness scalar; nothing is ordered against it.
     return version_.load(std::memory_order_relaxed);
@@ -125,8 +127,7 @@ class ShardedSnapshotStore {
   void swap_shard(int k, ShardHandlePtr handle);
 
   /// Shard k's backing SnapshotStore when it is a LocalShard, else null.
-  /// The single-shard service paths use slot 0 to keep the pre-shard
-  /// introspection surface (`service.store()`) intact.
+  /// The service's store() introspection reads slot 0 through it.
   [[nodiscard]] const svc::SnapshotStore* local_store(int k) const;
 
  private:

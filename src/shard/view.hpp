@@ -10,11 +10,14 @@
 // views with equal signatures answer every query identically, which is what
 // lets the service key its composed-answer cache tier and the scatter-gather
 // planner key its cross-aggregate memo by signature instead of by any
-// single epoch.
+// single epoch. A single store is the one-shard case: its view's signature
+// and version are both the shard's epoch, so a composed answer keys exactly
+// like the shard's own.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "chk/checked_math.hpp"
@@ -25,8 +28,10 @@ namespace bfc::shard {
 
 struct ShardView {
   std::vector<svc::SnapshotPtr> shards;  // index = shard id, never null
-  std::uint64_t version = 0;    // global publish counter at pin time
-  std::uint64_t signature = 0;  // order-sensitive hash of per-shard epochs
+  // Σ of the pinned per-shard epochs: every shard publish moves it by one,
+  // and a one-shard view carries its shard's epoch.
+  std::uint64_t version = 0;
+  std::uint64_t signature = 0;  // see signature_of
   // Bit k set: shard k was unhealthy at pin time (open circuit on a
   // RemoteShard), so shards[k] is its last *known* snapshot rather than a
   // fresh pin. Values composed from this view are still exact for the
@@ -66,9 +71,23 @@ struct ShardView {
     return m;
   }
 
-  /// splitmix64 chain over the per-shard epochs (order-sensitive).
+  /// The view of `shards` as pinned, with version and signature derived
+  /// from their epochs.
+  [[nodiscard]] static std::shared_ptr<const ShardView> of(
+      std::vector<svc::SnapshotPtr> shards, std::uint64_t stale_mask = 0) {
+    auto v = std::make_shared<ShardView>();
+    v->shards = std::move(shards);
+    for (const svc::SnapshotPtr& s : v->shards) v->version += s->epoch;
+    v->signature = signature_of(v->shards);
+    v->stale_mask = stale_mask;
+    return v;
+  }
+
+  /// splitmix64 chain over the per-shard epochs (order-sensitive); one
+  /// shard's epoch is its own signature.
   [[nodiscard]] static std::uint64_t signature_of(
       const std::vector<svc::SnapshotPtr>& shards) noexcept {
+    if (shards.size() == 1) return shards.front()->epoch;
     auto mix = [](std::uint64_t x) noexcept {
       x += 0x9e3779b97f4a7c15ULL;
       x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

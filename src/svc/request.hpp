@@ -83,16 +83,17 @@ class Deadline {
   bool armed_ = false;
 };
 
-/// Per-query envelope: which epoch to answer against (empty = pin the
+/// Per-query envelope: which view to answer against (empty = pin the
 /// latest at submission) and how long the caller is willing to wait.
-/// Implicitly constructible from a SnapshotPtr so the common
-/// `service.vertex_tip_v1(u, snap)` call sites read naturally.
+/// Implicitly constructible from a SnapshotPtr or a ShardViewPtr so the
+/// common `service.vertex_tip_v1(u, pinned)` call sites read naturally.
 struct Request {
+  /// A pinned snapshot of a one-shard service: it answers as that shard's
+  /// view. A service with more shards ignores it — its snapshot() is a
+  /// materialised union with no per-shard epochs to key answers by.
   SnapshotPtr snap{};
-  /// Sharded pinning: against a service running with more than one shard,
-  /// queries answer from this pinned ShardView (empty = pin the latest at
-  /// submission), and `snap` — a single-store concept with no cross-shard
-  /// meaning — is ignored. Single-shard services ignore `view` instead.
+  /// A pinned ShardView (from service.view()), honoured for any shard
+  /// count; it takes precedence over `snap`.
   shard::ShardViewPtr view{};
   Deadline deadline{};
   /// Telemetry identity. Inactive (the default) makes the service root a
@@ -139,11 +140,11 @@ struct QueryResult {
   T value{};
   std::uint64_t epoch = 0;
   Fidelity fidelity = Fidelity::kExact;
-  // Per-shard fidelity (sharded serving only): bit k set means shard k's
-  // contribution came from its last known snapshot because the shard was
-  // unreachable (open circuit) when the view was pinned. Nonzero implies
-  // fidelity != kExact for queries whose answer touches those ranges;
-  // single-store answers always leave it 0.
+  // Per-shard fidelity: bit k set means shard k's contribution came from
+  // its last known snapshot because the shard was unreachable (open
+  // circuit) when the view was pinned. Nonzero implies fidelity != kExact
+  // for queries whose answer touches those ranges; in-process shards
+  // (always reachable) leave it 0.
   std::uint64_t stale_shards = 0;
 
   [[nodiscard]] bool degraded() const noexcept {

@@ -71,64 +71,44 @@ void ResultCache::invalidate_all() {
   BFC_COUNT_ADD("svc.cache_invalidations", 1);
 }
 
-void ResultCache::invalidate_older_than(std::uint64_t min_epoch) {
+void ResultCache::retire(int tier, std::uint64_t min_epoch, int view_tier,
+                         std::span<const std::uint64_t> keep_epochs) {
   const MutexLock lock(mu_);
+  const std::size_t t = tier_index(tier);
+  const bool keep_rule = view_tier >= 0;
+  const std::size_t vt = keep_rule ? tier_index(view_tier) : t;
+  const auto dropped = [&](const CacheKey& key) {
+    const std::size_t kt = tier_index(key.tier);
+    if (kt == t && key.epoch < min_epoch) return true;
+    return keep_rule && kt == vt &&
+           std::find(keep_epochs.begin(), keep_epochs.end(), key.epoch) ==
+               keep_epochs.end();
+  };
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first.epoch < min_epoch) {
+    if (dropped(it->first)) {
       map_.erase(it->first);
       it = lru_.erase(it);
     } else {
       ++it;
     }
   }
-  // The store-wide publish retires every tier's generation at once.
-  std::fill(hits_.begin(), hits_.end(), 0);
-  std::fill(misses_.begin(), misses_.end(), 0);
-  BFC_GAUGE_SET("svc.cache_hit_rate", 0.0);
+  // THE point of tiers: only the published shard's generation (and the
+  // composed tier's) resets; the other shards keep their entries AND their
+  // hit/miss streaks, so their post-publish hit rates stay meaningful.
+  hits_[t] = misses_[t] = 0;
+  hits_[vt] = misses_[vt] = 0;
+  BFC_GAUGE_SET("svc.cache_hit_rate", hit_rate_locked());
   BFC_COUNT_ADD("svc.cache_invalidations", 1);
 }
 
 void ResultCache::invalidate_tier_older_than(int tier,
                                              std::uint64_t min_epoch) {
-  const MutexLock lock(mu_);
-  const std::size_t t = tier_index(tier);
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (tier_index(it->first.tier) == t && it->first.epoch < min_epoch) {
-      map_.erase(it->first);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // THE point of tiers: only the published shard's generation resets; the
-  // other shards keep their entries AND their hit/miss streaks, so their
-  // post-publish hit rates stay meaningful.
-  hits_[t] = 0;
-  misses_[t] = 0;
-  BFC_GAUGE_SET("svc.cache_hit_rate", hit_rate_locked());
-  BFC_COUNT_ADD("svc.cache_invalidations", 1);
+  retire(tier, min_epoch, -1, {});
 }
 
 void ResultCache::invalidate_tier_keep(
     int tier, std::span<const std::uint64_t> keep_epochs) {
-  const MutexLock lock(mu_);
-  const std::size_t t = tier_index(tier);
-  const auto kept = [&](std::uint64_t epoch) {
-    return std::find(keep_epochs.begin(), keep_epochs.end(), epoch) !=
-           keep_epochs.end();
-  };
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (tier_index(it->first.tier) == t && !kept(it->first.epoch)) {
-      map_.erase(it->first);
-      it = lru_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  hits_[t] = 0;
-  misses_[t] = 0;
-  BFC_GAUGE_SET("svc.cache_hit_rate", hit_rate_locked());
-  BFC_COUNT_ADD("svc.cache_invalidations", 1);
+  retire(tier, 0, tier, keep_epochs);
 }
 
 std::int64_t ResultCache::hits() const {

@@ -1,18 +1,18 @@
 // Bounded LRU cache over query results, keyed by (epoch, kind, argument,
 // tier). Because the key includes the epoch and snapshots are immutable, a
 // cached entry can never serve a *wrong* answer — entries for old epochs
-// are merely old. The service exploits that for graceful degradation: on
-// publish it calls invalidate_older_than(epoch - 1), keeping exactly the
-// just-retired epoch's entries as the stale-answer tier of the degradation
-// ladder while dropping everything older.
+// are merely old. The service exploits that for graceful degradation: a
+// publish retires the shard's entries older than epoch - 1, keeping exactly
+// the just-retired epoch's entries as the stale-answer tier of the
+// degradation ladder while dropping everything older.
 //
-// Tiers are independent invalidation domains sharing one LRU budget. The
-// unsharded service uses a single tier (tier 0, the default — the key
-// layout and every legacy call site are unchanged); the sharded service
-// gives each shard its own tier (keyed by that shard's epoch) plus a
-// view-composite tier (keyed by view signature), so a publish on shard k
-// invalidates ONLY shard k's entries and stats, leaving the other shards'
-// hit streaks untouched.
+// Tiers are independent invalidation domains sharing one LRU budget. A
+// service with N > 1 shards gives each shard its own tier (keyed by that
+// shard's epoch) plus a view-composite tier (keyed by view signature), so a
+// publish on shard k invalidates ONLY shard k's entries and stats, leaving
+// the other shards' hit streaks untouched. A one-shard service has a single
+// tier: its view signature is its epoch, so composed and shard keys are
+// one and the same.
 //
 // Counters: cumulative hits/misses go to the obs registry (svc.cache_hits /
 // svc.cache_misses). The cache additionally keeps *generation-scoped*
@@ -89,11 +89,14 @@ class ResultCache {
   /// Drops every entry and resets every tier's generation-scoped stats.
   void invalidate_all();
 
-  /// Drops entries with key.epoch < min_epoch across ALL tiers (the
-  /// unsharded publish path passes new_epoch - 1, retaining one trailing
-  /// epoch as the stale-answer tier) and resets every tier's
-  /// generation-scoped hit/miss stats.
-  void invalidate_older_than(std::uint64_t min_epoch);
+  /// One shard publish in a single LRU scan: drops `tier`'s entries older
+  /// than min_epoch and, when view_tier >= 0, view_tier's entries whose
+  /// epoch field (a view signature — not ordered, so "older than" cannot
+  /// apply) is NOT in keep_epochs; resets both tiers' generation stats.
+  /// The tiers may coincide (a one-shard service), and an entry then goes
+  /// when either rule drops it.
+  void retire(int tier, std::uint64_t min_epoch, int view_tier,
+              std::span<const std::uint64_t> keep_epochs);
 
   /// Shard-local publish: drops only `tier`'s entries older than min_epoch
   /// and resets only `tier`'s generation stats. Other tiers keep both

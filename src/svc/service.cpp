@@ -81,6 +81,35 @@ void span_close(const SpanPtr& span) {
   if (span) span->close();
 }
 
+/// Tags an answer's fidelity as the query's outcome and closes its span.
+template <typename T>
+QueryResult<T> settle(const SpanPtr& span, QueryResult<T> r) {
+  span_tag(span, "outcome", fidelity_name(r.fidelity));
+  span_close(span);
+  return r;
+}
+
+/// Same for a degrade ladder's verdict, which may be "no rung left": shed.
+template <typename T>
+std::optional<QueryResult<T>> settle(const SpanPtr& span,
+                                     std::optional<QueryResult<T>> d) {
+  span_tag(span, "outcome", d ? fidelity_name(d->fidelity) : "shed");
+  span_close(span);
+  return d;
+}
+
+/// The stale_shards bit of a routed query's owner range, if it was dark.
+std::uint64_t owner_mask(const shard::ShardView& view, int owner) {
+  return view.shard_stale(owner) ? std::uint64_t{1} << owner : 0;
+}
+
+/// Shards [lo, hi) whose tip passes a tip answer sums: the owner alone for
+/// a routed V1 vertex (owner >= 0), every shard for a V2 vertex.
+std::pair<int, int> tip_shards(const shard::ShardView& view, int owner) {
+  return owner >= 0 ? std::pair{owner, owner + 1}
+                    : std::pair{0, view.shard_count()};
+}
+
 std::array<SloPolicy, kQueryKinds> slo_policies(const ServiceOptions& o) {
   std::array<SloPolicy, kQueryKinds> policies;
   for (std::size_t k = 0; k < kQueryKinds; ++k)
@@ -94,10 +123,11 @@ ButterflyService::ButterflyService(vidx_t n1, vidx_t n2,
                                    ServiceOptions options)
     : shards_(options.shards),
       store_(n1, n2, options.shards),
-      // One tier per shard plus the composed-answer tier. Single-shard
-      // services only ever touch tier 0 (and invalidate across all tiers),
-      // so the extra empty tier changes nothing.
-      cache_(options.cache_capacity, options.shards + 1),
+      // One tier per shard plus, past them, the composed-answer tier. A
+      // one-shard view's signature is its epoch, so it composes in the
+      // shard's own tier instead: one entry per answer, one retire scan.
+      cache_(options.cache_capacity,
+             options.shards > 1 ? options.shards + 1 : 1),
       memo_keep_epochs_(options.memo_keep_epochs),
       degrade_queue_depth_(options.degrade_queue_depth),
       degrade_p95_us_(options.degrade_p95_us),
@@ -126,66 +156,69 @@ ButterflyService::ButterflyService(vidx_t n1, vidx_t n2,
       }
     }
   }
-  const shard::ShardViewPtr v = store_.view();
-  const MutexLock lock(view_mu_);
-  cur_sig_ = prev_sig_ = v->signature;
-  cur_version_ = prev_version_ = v->version;
+  restart_view_generation();
 }
 
 PublishResult ButterflyService::apply_updates(
     std::span<const EdgeUpdate> batch) {
-  if (shards_ == 1) {
-    // Straight to shard 0 so the returned epoch is the SHARD epoch — the
-    // pre-sharding contract (the global version can drift from it after a
-    // restore, which resets shard epochs but not the publish counter).
-    const PublishResult result = store_.apply_to_shard(0, batch);
-    obs::FlightRecorder::record("publish", "",
-                                static_cast<std::int64_t>(result.epoch),
-                                static_cast<std::int64_t>(result.applied));
-    // Entries are epoch-keyed so none could serve a wrong answer; keep the
-    // just-retired epoch as the stale-answer tier and drop everything older.
-    cache_.invalidate_older_than(result.epoch == 0 ? 0 : result.epoch - 1);
-    {
-      const MutexLock lock(memo_mu_);
-      std::erase_if(tip_memo_, [&](const auto& entry) {
-        return std::get<1>(entry.first) + memo_keep_epochs_ <= result.epoch;
-      });
-    }
-    return result;
-  }
   // Route by V1 owner and publish shard by shard — the single-writer
   // convenience path over the same machinery concurrent writers use.
-  const shard::ShardRouter router(store_.partition());
-  const auto buckets = router.bucket(batch);
+  const auto buckets = shard::ShardRouter(store_.partition()).bucket(batch);
   PublishResult total{};
+  {
+    const MutexLock lock(view_mu_);
+    total.epoch = cur_version_;  // an empty batch publishes nothing
+  }
   for (int k = 0; k < shards_; ++k) {
     const auto& sub = buckets[static_cast<std::size_t>(k)];
     if (sub.empty()) continue;  // untouched shards do not publish
-    const PublishResult r = apply_updates_shard(k, sub);
+    const auto [r, version] = publish(k, sub);
     total.applied += r.applied;
     total.ignored += r.ignored;
     total.created = chk::checked_add(total.created, r.created);
     total.destroyed = chk::checked_add(total.destroyed, r.destroyed);
+    total.epoch = version;
   }
-  // Per-shard epochs advance independently; the store's global version is
-  // the only scalar that means "after this whole batch".
-  total.epoch = store_.version();
   return total;
 }
 
 PublishResult ButterflyService::apply_updates_shard(
     int k, std::span<const EdgeUpdate> batch) {
   require(k >= 0 && k < shards_, "apply_updates_shard: shard out of range");
-  if (shards_ == 1) return apply_updates(batch);
+  return publish(k, batch).first;
+}
+
+std::pair<PublishResult, std::uint64_t> ButterflyService::publish(
+    int k, std::span<const EdgeUpdate> batch) {
   const PublishResult result = store_.apply_to_shard(k, batch);
   obs::FlightRecorder::record("publish", "",
                               static_cast<std::int64_t>(result.epoch),
                               static_cast<std::int64_t>(result.applied));
-  // Only shard k's tier retires; the other shards' entries stay keyed by
-  // their own (unchanged) epochs with their hit streaks intact — the point
-  // of running one cache tier per shard.
-  cache_.invalidate_tier_older_than(k,
-                                    result.epoch == 0 ? 0 : result.epoch - 1);
+  // Roll the (cur, prev) view generation. A concurrent writer may have
+  // rolled the pair past this publish's signature already; the pair only
+  // ever needs to be "two recent signatures" (signature-keyed entries can
+  // never be wrong, only unreachable), so skipping is harmless.
+  const shard::ShardViewPtr v = store_.view();  // pin BEFORE locking
+  std::array<std::uint64_t, 2> keep{};
+  bool rolled = false;
+  {
+    const MutexLock lock(view_mu_);
+    if (v->signature != cur_sig_) {
+      prev_sig_ = cur_sig_;
+      prev_version_ = cur_version_;
+      cur_sig_ = v->signature;
+      cur_version_ = v->version;
+      keep = {cur_sig_, prev_sig_};
+      rolled = true;
+    }
+  }
+  // Only shard k's tier retires, down to the just-retired epoch (the
+  // stale-answer tier); the other shards' entries stay keyed by their own
+  // (unchanged) epochs with their hit streaks intact — the point of one
+  // cache tier per shard. The composed tier keeps the two live
+  // generations. One scan does both.
+  cache_.retire(k, result.epoch == 0 ? 0 : result.epoch - 1,
+                rolled ? view_tier() : -1, keep);
   publish_shard_gauge(k);
   {
     const MutexLock lock(memo_mu_);
@@ -194,27 +227,7 @@ PublishResult ButterflyService::apply_updates_shard(
              std::get<1>(entry.first) + memo_keep_epochs_ <= result.epoch;
     });
   }
-  refresh_view_generation();
-  return result;
-}
-
-void ButterflyService::refresh_view_generation() {
-  const shard::ShardViewPtr v = store_.view();  // pin BEFORE locking
-  std::array<std::uint64_t, 2> keep{};
-  {
-    const MutexLock lock(view_mu_);
-    // A concurrent writer may have rolled the pair past this publish's
-    // signature already; the pair only ever needs to be "two recent
-    // signatures" (signature-keyed entries can never be wrong, only
-    // unreachable), so skipping is harmless.
-    if (v->signature == cur_sig_) return;
-    prev_sig_ = cur_sig_;
-    prev_version_ = cur_version_;
-    cur_sig_ = v->signature;
-    cur_version_ = v->version;
-    keep = {cur_sig_, prev_sig_};
-  }
-  cache_.invalidate_tier_keep(view_tier(), keep);
+  return {result, v->version};
 }
 
 void ButterflyService::persist(const std::string& path) const {
@@ -242,18 +255,7 @@ void ButterflyService::restore(const std::string& path) {
   // memo — its view signatures hash per-shard epochs, so a post-restore
   // update stream could re-reach a memoised epoch vector with different
   // graph content and serve a pre-restore aggregate as kExact.
-  cache_.invalidate_all();
-  scatter_.clear();
-  {
-    const MutexLock lock(memo_mu_);
-    tip_memo_.clear();
-  }
-  const shard::ShardViewPtr v = store_.view();
-  const MutexLock lock(view_mu_);
-  // cur == prev: no previous generation — the stale-view rung stays empty
-  // until the first post-restore publish.
-  cur_sig_ = prev_sig_ = v->signature;
-  cur_version_ = prev_version_ = v->version;
+  flush();
 }
 
 void ButterflyService::swap_shard(int k, shard::ShardHandlePtr handle) {
@@ -261,19 +263,30 @@ void ButterflyService::swap_shard(int k, shard::ShardHandlePtr handle) {
   // The new handle's epoch sequence need not extend the old one (a remote
   // host starts at its own epoch), so every epoch/signature-keyed tier is
   // meaningless — same flush discipline as restore().
+  flush();
+}
+
+void ButterflyService::flush() {
   cache_.invalidate_all();
   scatter_.clear();
   {
     const MutexLock lock(memo_mu_);
     tip_memo_.clear();
   }
+  restart_view_generation();
+}
+
+void ButterflyService::restart_view_generation() {
   const shard::ShardViewPtr v = store_.view();
   const MutexLock lock(view_mu_);
+  // cur == prev: no previous generation — the stale-view rung stays empty
+  // until the next publish.
   cur_sig_ = prev_sig_ = v->signature;
   cur_version_ = prev_version_ = v->version;
 }
 
 SnapshotPtr ButterflyService::snapshot() const {
+  // One shard: its snapshot is the whole graph, pinned in O(1).
   if (shards_ == 1) return store_.shard_snapshot(0);
   // Materialise the union graph of one pinned view. Owned ranges are
   // disjoint, so concatenating each shard's owned rows rebuilds the exact
@@ -299,31 +312,144 @@ SnapshotPtr ButterflyService::snapshot() const {
   return std::make_shared<const GraphSnapshot>(std::move(snap));
 }
 
+// ---- the query path ---------------------------------------------------------
+
+template <typename T>
+QueryResult<T> ButterflyService::at_view(T value, const shard::ShardView& view,
+                                         std::uint64_t qmask) {
+  if (qmask != 0) note_stale_mask(qmask);
+  return QueryResult<T>{std::move(value), view.version,
+                        qmask != 0 ? Fidelity::kStale : Fidelity::kExact,
+                        qmask};
+}
+
+template <typename T>
+std::optional<QueryResult<T>> ButterflyService::cached(
+    const CacheKey& key, const shard::ShardView& view, std::uint64_t qmask,
+    int owner, const SpanPtr& span) {
+  const auto hit = cache_.get(key);
+  span_tag(span, "cache", hit ? "hit" : "miss");
+  if (!hit) return std::nullopt;
+  observe_latency(key.kind, 0.0, owner);
+  return at_view(std::get<T>(*hit), view, qmask);
+}
+
+template <typename T, typename Exact, typename Ladder>
+std::future<QueryResult<T>> ButterflyService::serve(const Deadline& deadline,
+                                                    const SpanPtr& span,
+                                                    int owner, Exact exact,
+                                                    Ladder ladder) {
+  // Rung 0 of the ladder: already drowning — answer degraded right now
+  // instead of queueing exact work nobody can afford.
+  if (overloaded(owner)) {
+    if (auto d = ladder()) {
+      span_tag(span, "degrade", "admission");
+      return ready_future(settle(span, std::move(*d)));
+    }
+  }
+  auto fallback = [ladder, span] {
+    span_tag(span, "degrade", "abandoned");
+    return settle(span, ladder());
+  };
+  auto run = [exact, ladder, span, deadline,
+              trace = span_ctx(span)]() -> QueryResult<T> {
+    try {
+      return exact(deadline, trace);
+    } catch (const CancelledError&) {
+      // The deadline fired mid-pass; the kernel gave up cooperatively.
+    } catch (const shard::ShardUnavailableError&) {
+      // A cross-process leg died mid-compute: same ladder as a deadline
+      // trip — the range isolation contract forbids failing the query.
+    }
+    BFC_COUNT_ADD("svc.kernels_cancelled", 1);
+    span_tag(span, "cancelled", "true");
+    if (auto d = settle(span, ladder())) return std::move(*d);
+    throw OverloadError(OverloadError::Reason::kDeadline);
+  };
+  if (auto fut = pool_.try_submit(std::move(run), deadline,
+                                  std::move(fallback), span_ctx(span)))
+    return std::move(*fut);
+  // Refused at admission: degrade on the caller's thread.
+  span_tag(span, "rejected", "true");
+  if (auto d = settle(span, ladder())) return ready_future(std::move(*d));
+  return overload_future<QueryResult<T>>(OverloadError::Reason::kRejected);
+}
+
+template <typename T, typename Compute>
+T ButterflyService::shard_component(const CacheKey& key, Compute compute) {
+  // One shard composes in its own tier: the caller's entry is this one.
+  if (key.tier == view_tier()) return compute();
+  const auto hit = cache_.get(key);
+  T value = hit ? std::get<T>(*hit) : compute();
+  if (!hit) cache_.put(key, CacheValue{value});
+  publish_shard_gauge(key.tier);
+  return value;
+}
+
 std::future<QueryResult<count_t>> ButterflyService::global_count(Request req) {
-  if (shards_ > 1) return sharded_global(std::move(req));
-  obs::Span span(root_context(req), "svc.query.global");
-  SnapshotPtr snap = req.snap ? std::move(req.snap) : store_.shard_snapshot(0);
+  const shard::ShardViewPtr view = resolve_view(req);
   BFC_COUNT_ADD("svc.queries", 1);
-  // Maintained incrementally by the writer: answering is one field read.
-  BFC_HIST_OBSERVE("svc.latency_us.global", 0);
-  observe_latency(QueryKind::kGlobalCount, 0.0);
-  span.tag("epoch", snap->epoch);
-  span.tag("outcome", "exact");
-  return ready_future(
-      QueryResult<count_t>{snap->butterflies, snap->epoch, Fidelity::kExact});
+  note_scatter(QueryKind::kGlobalCount, *view);
+  const SpanPtr span = open_span(root_context(req), "svc.query.global");
+  span_tag(span, "epoch", view->version);
+  // Partial-result contract: a scatter query folds every range in, so any
+  // unreachable shard (its snapshot is the last known epoch, not a fresh
+  // pin) downgrades the whole answer to kStale with the per-shard bits in
+  // stale_shards. The VALUE is still exact for the pinned epoch vector —
+  // only freshness is in question.
+  const std::uint64_t qmask = view->stale_mask;
+  // No cross pass to wait for (one shard): the writer-maintained count is
+  // the answer — one field read, never queued, never degraded.
+  if (const shard::CrossAggregatePtr none =
+          shard::ScatterGather::without_pass(*view)) {
+    observe_latency(QueryKind::kGlobalCount, 0.0);
+    return ready_future(settle(
+        span, at_view(shard::ScatterGather::global_count(*view, *none),
+                      *view, qmask)));
+  }
+  const CacheKey key{view->signature, QueryKind::kGlobalCount, 0, 0,
+                     view_tier()};
+  if (auto hit = cached<count_t>(key, *view, qmask, -1, span))
+    return ready_future(settle(span, std::move(*hit)));
+  auto ladder = [this, view]() -> std::optional<QueryResult<count_t>> {
+    // Rung 1: the previous view generation's composed answer.
+    if (auto stale =
+            stale_view<count_t>(*view, QueryKind::kGlobalCount, 0, 0)) {
+      note_stale(-1);
+      return stale;
+    }
+    // Rung 2: the freshest COMPLETED cross aggregate of any signature plus
+    // the pinned locals — mixed freshness, honestly tagged stale.
+    if (auto agg = scatter_.latest_ready()) {
+      note_stale(-1);
+      return QueryResult<count_t>{
+          chk::checked_add(view->local_butterflies(), (*agg)->butterflies),
+          view->version, Fidelity::kStale};
+    }
+    return std::nullopt;
+  };
+  auto exact = [this, view, key, qmask, span, timer = Timer()](
+                   const Deadline& deadline, const obs::TraceContext& trace) {
+    const shard::CrossAggregatePtr agg =
+        scatter_.cross(view, deadline.token(), trace);
+    const count_t value = shard::ScatterGather::global_count(*view, *agg);
+    cache_.put(key, value);
+    observe_latency(QueryKind::kGlobalCount, timer.seconds() * 1e6);
+    return settle(span, at_view(value, *view, qmask));
+  };
+  return serve<count_t>(req.deadline, span, -1, std::move(exact),
+                        std::move(ladder));
 }
 
 std::future<QueryResult<count_t>> ButterflyService::vertex_tip_v1(
     vidx_t u, Request req) {
   require(u >= 0 && u < store_.n1(), "vertex_tip_v1: vertex out of range");
-  if (shards_ > 1) return sharded_tip(u, /*v1_side=*/true, std::move(req));
   return vertex_tip(u, /*v1_side=*/true, std::move(req));
 }
 
 std::future<QueryResult<count_t>> ButterflyService::vertex_tip_v2(
     vidx_t v, Request req) {
   require(v >= 0 && v < store_.n2(), "vertex_tip_v2: vertex out of range");
-  if (shards_ > 1) return sharded_tip(v, /*v1_side=*/false, std::move(req));
   return vertex_tip(v, /*v1_side=*/false, std::move(req));
 }
 
@@ -332,84 +458,49 @@ std::future<QueryResult<count_t>> ButterflyService::vertex_tip(vidx_t vertex,
                                                                Request req) {
   const QueryKind kind =
       v1_side ? QueryKind::kVertexTipV1 : QueryKind::kVertexTipV2;
-  SnapshotPtr snap = req.snap ? std::move(req.snap) : store_.shard_snapshot(0);
+  const shard::ShardViewPtr view = resolve_view(req);
+  // tip_v1 routes to the owner shard; tip_v2 gathers over all of them.
+  const int owner = v1_side ? store_.partition().owner(vertex) : -1;
   BFC_COUNT_ADD("svc.queries", 1);
+  note_scatter(kind, *view);
   const SpanPtr span = open_span(
       root_context(req), v1_side ? "svc.query.tip_v1" : "svc.query.tip_v2");
-  span_tag(span, "epoch", snap->epoch);
-  const CacheKey key{snap->epoch, kind, vertex, 0};
-  if (const auto hit = cache_.get(key)) {
-    if (v1_side)
-      BFC_HIST_OBSERVE("svc.latency_us.tip_v1", 0);
-    else
-      BFC_HIST_OBSERVE("svc.latency_us.tip_v2", 0);
-    observe_latency(kind, 0.0);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", "exact");
-    return ready_future(QueryResult<count_t>{std::get<count_t>(*hit),
-                                             snap->epoch, Fidelity::kExact});
-  }
-  span_tag(span, "cache", "miss");
-  // Rung 0 of the ladder: already drowning — answer degraded right now
-  // instead of queueing exact work nobody can afford.
-  if (overloaded()) {
-    if (auto d = degraded_tip(snap, vertex, v1_side)) {
-      span_tag(span, "degrade", "admission");
-      span_tag(span, "outcome", fidelity_name(d->fidelity));
-      return ready_future(std::move(*d));
-    }
-  }
-  auto fallback = [this, snap, vertex, v1_side, span] {
-    auto d = degraded_tip(snap, vertex, v1_side);
-    span_tag(span, "degrade", "abandoned");
-    span_tag(span, "outcome", d ? fidelity_name(d->fidelity) : "shed");
-    span_close(span);
-    return d;
+  span_tag(span, "epoch", view->version);
+  if (owner >= 0) span_tag(span, "shard", static_cast<std::uint64_t>(owner));
+  // Routed (tip_v1): stale only when the OWNER range is dark — a dead
+  // shard can take no publishes, so every other range's answer is exact
+  // for the pinned view (the per-vertex locality argument). Scattered
+  // (tip_v2): any dark shard taints the whole sum.
+  const std::uint64_t qmask =
+      v1_side ? owner_mask(*view, owner) : view->stale_mask;
+  const CacheKey key{view->signature, kind, vertex, 0, view_tier()};
+  if (auto hit = cached<count_t>(key, *view, qmask, owner, span))
+    return ready_future(settle(span, std::move(*hit)));
+  auto ladder = [this, view, vertex, v1_side, owner] {
+    return degraded_tip(view, vertex, v1_side, owner);
   };
-  auto exact = [this, snap, key, vertex, v1_side, deadline = req.deadline,
-                span, trace = span_ctx(span), timer = Timer()] {
-    try {
+  auto exact = [this, view, key, vertex, v1_side, owner, qmask, span,
+                timer = Timer()](const Deadline& deadline,
+                                 const obs::TraceContext& trace) {
+    const shard::CrossAggregatePtr agg =
+        scatter_.cross(view, deadline.token(), trace);
+    count_t value = v1_side ? agg->tip_v1(vertex) : agg->tip_v2(vertex);
+    // tip_v1's local part lives wholly on its owner shard; every shard sees
+    // some of a V2 vertex's butterflies, and their tips sum.
+    const auto [lo, hi] = tip_shards(*view, owner);
+    for (int s = lo; s < hi; ++s) {
       const TipVector tips =
-          tips_for(0, snap, v1_side, deadline.token(), trace);
-      const count_t value = (*tips)[static_cast<std::size_t>(vertex)];
-      cache_.put(key, value);
-      const double us = timer.seconds() * 1e6;
-      if (v1_side)
-        BFC_HIST_OBSERVE("svc.latency_us.tip_v1", us);
-      else
-        BFC_HIST_OBSERVE("svc.latency_us.tip_v2", us);
-      observe_latency(v1_side ? QueryKind::kVertexTipV1
-                              : QueryKind::kVertexTipV2,
-                      us);
-      span_tag(span, "outcome", "exact");
-      span_close(span);
-      return QueryResult<count_t>{value, snap->epoch, Fidelity::kExact};
-    } catch (const CancelledError&) {
-      // The deadline fired mid-pass; the kernel gave up cooperatively.
-      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-      span_tag(span, "cancelled", "true");
-      if (auto d = degraded_tip(snap, vertex, v1_side)) {
-        span_tag(span, "outcome", fidelity_name(d->fidelity));
-        span_close(span);
-        return std::move(*d);
-      }
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-      throw OverloadError(OverloadError::Reason::kDeadline);
+          tips_for(s, view->shards[static_cast<std::size_t>(s)], v1_side,
+                   deadline.token(), trace);
+      value =
+          chk::checked_add(value, (*tips)[static_cast<std::size_t>(vertex)]);
     }
+    cache_.put(key, value);
+    observe_latency(key.kind, timer.seconds() * 1e6, owner);
+    return settle(span, at_view(value, *view, qmask));
   };
-  if (auto fut = pool_.try_submit(std::move(exact), req.deadline,
-                                  std::move(fallback), span_ctx(span)))
-    return std::move(*fut);
-  // Refused at admission: degrade on the caller's thread.
-  span_tag(span, "rejected", "true");
-  if (auto d = degraded_tip(snap, vertex, v1_side)) {
-    span_tag(span, "outcome", fidelity_name(d->fidelity));
-    return ready_future(std::move(*d));
-  }
-  span_tag(span, "outcome", "shed");
-  return overload_future<QueryResult<count_t>>(
-      OverloadError::Reason::kRejected);
+  return serve<count_t>(req.deadline, span, owner, std::move(exact),
+                        std::move(ladder));
 }
 
 std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
@@ -417,647 +508,171 @@ std::future<QueryResult<count_t>> ButterflyService::edge_support(vidx_t u,
                                                                  Request req) {
   require(u >= 0 && u < store_.n1() && v >= 0 && v < store_.n2(),
           "edge_support: vertex out of range");
-  if (shards_ > 1) return sharded_edge(u, v, std::move(req));
-  SnapshotPtr snap = req.snap ? std::move(req.snap) : store_.shard_snapshot(0);
+  const shard::ShardViewPtr view = resolve_view(req);
+  const int owner = store_.partition().owner(u);
   BFC_COUNT_ADD("svc.queries", 1);
   const SpanPtr span = open_span(root_context(req), "svc.query.edge");
-  span_tag(span, "epoch", snap->epoch);
-  const CacheKey key{snap->epoch, QueryKind::kEdgeSupport, u, v};
-  if (const auto hit = cache_.get(key)) {
-    BFC_HIST_OBSERVE("svc.latency_us.edge", 0);
-    observe_latency(QueryKind::kEdgeSupport, 0.0);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", "exact");
-    return ready_future(QueryResult<count_t>{std::get<count_t>(*hit),
-                                             snap->epoch, Fidelity::kExact});
-  }
-  span_tag(span, "cache", "miss");
-  // Shed/overload path: previous epoch's cached support, else the exact
-  // one-edge computation inline — it is one row scan, cheap enough to run
-  // on the shedding thread rather than give up fidelity.
-  auto inline_answer = [this, snap, key, u, v,
-                        span]() -> std::optional<QueryResult<count_t>> {
-    if (auto stale = stale_scalar(snap, QueryKind::kEdgeSupport, u, v)) {
-      BFC_COUNT_ADD("svc.degraded", 1);
-      BFC_COUNT_ADD("svc.stale_answers", 1);
-      span_tag(span, "outcome", "stale");
-      span_close(span);
+  span_tag(span, "epoch", view->version);
+  span_tag(span, "shard", static_cast<std::uint64_t>(owner));
+  // Routed query: only the owner range's darkness taints the answer (see
+  // vertex_tip).
+  const std::uint64_t qmask = owner_mask(*view, owner);
+  const CacheKey key{view->signature, QueryKind::kEdgeSupport, u, v,
+                     view_tier()};
+  if (auto hit = cached<count_t>(key, *view, qmask, owner, span))
+    return ready_future(settle(span, std::move(*hit)));
+  // Shed/overload path: the previous generation's cached support, else the
+  // exact computation inline — a row scan per shard, cheap enough to run on
+  // the shedding thread rather than give up fidelity.
+  auto ladder = [this, view, key, owner, u, v, qmask,
+                 span]() -> std::optional<QueryResult<count_t>> {
+    if (auto stale =
+            stale_view<count_t>(*view, QueryKind::kEdgeSupport, u, v)) {
+      note_stale(owner);
       return stale;
     }
-    const count_t value =
-        snap->graph.has_edge(u, v) ? support_of_edge(snap->graph, u, v) : 0;
+    const count_t value = support_at(*view, owner, u, v);
     cache_.put(key, value);
     BFC_COUNT_ADD("svc.inline_answers", 1);
     span_tag(span, "inline", "true");
-    span_tag(span, "outcome", "exact");
-    span_close(span);
-    return QueryResult<count_t>{value, snap->epoch, Fidelity::kExact};
+    return at_view(value, *view, qmask);
   };
-  if (overloaded()) {
-    span_tag(span, "degrade", "admission");
-    return ready_future(std::move(*inline_answer()));
-  }
-  auto exact = [this, snap, key, u, v, span, timer = Timer()] {
-    const count_t value =
-        snap->graph.has_edge(u, v) ? support_of_edge(snap->graph, u, v) : 0;
+  auto exact = [this, view, key, owner, u, v, qmask, span, timer = Timer()](
+                   const Deadline&, const obs::TraceContext&) {
+    const count_t value = support_at(*view, owner, u, v);
     cache_.put(key, value);
-    const double us = timer.seconds() * 1e6;
-    BFC_HIST_OBSERVE("svc.latency_us.edge", us);
-    observe_latency(QueryKind::kEdgeSupport, us);
-    span_tag(span, "outcome", "exact");
-    span_close(span);
-    return QueryResult<count_t>{value, snap->epoch, Fidelity::kExact};
+    observe_latency(QueryKind::kEdgeSupport, timer.seconds() * 1e6, owner);
+    return settle(span, at_view(value, *view, qmask));
   };
-  if (auto fut = pool_.try_submit(std::move(exact), req.deadline,
-                                  inline_answer, span_ctx(span)))
-    return std::move(*fut);
-  span_tag(span, "rejected", "true");
-  return ready_future(std::move(*inline_answer()));
+  return serve<count_t>(req.deadline, span, owner, std::move(exact),
+                        std::move(ladder));
 }
 
 std::future<QueryResult<TopPairsPtr>> ButterflyService::top_pairs(
     std::size_t k, Request req) {
-  if (shards_ > 1) return sharded_top_pairs(k, std::move(req));
-  SnapshotPtr snap = req.snap ? std::move(req.snap) : store_.shard_snapshot(0);
+  const shard::ShardViewPtr view = resolve_view(req);
   BFC_COUNT_ADD("svc.queries", 1);
+  note_scatter(QueryKind::kTopPairs, *view);
   const SpanPtr span = open_span(root_context(req), "svc.query.top_pairs");
-  span_tag(span, "epoch", snap->epoch);
-  const CacheKey key{snap->epoch, QueryKind::kTopPairs,
-                     static_cast<std::int64_t>(k), 0};
-  if (const auto hit = cache_.get(key)) {
-    BFC_HIST_OBSERVE("svc.latency_us.top_pairs", 0);
-    observe_latency(QueryKind::kTopPairs, 0.0);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", "exact");
-    return ready_future(QueryResult<TopPairsPtr>{
-        std::get<TopPairsPtr>(*hit), snap->epoch, Fidelity::kExact});
-  }
-  span_tag(span, "cache", "miss");
-  // Only stale rung: there is no cheap sampled substitute for an exact
-  // top-k list, so with no previous-epoch list the query is shed outright.
-  auto stale_pairs = [this, snap, k,
-                      span]() -> std::optional<QueryResult<TopPairsPtr>> {
-    if (snap->epoch == 0) return std::nullopt;
-    const CacheKey prev{snap->epoch - 1, QueryKind::kTopPairs,
-                        static_cast<std::int64_t>(k), 0};
-    const auto hit = cache_.get(prev);
-    if (!hit) return std::nullopt;
-    BFC_COUNT_ADD("svc.degraded", 1);
-    BFC_COUNT_ADD("svc.stale_answers", 1);
-    span_tag(span, "outcome", "stale");
-    span_close(span);
-    return QueryResult<TopPairsPtr>{std::get<TopPairsPtr>(*hit),
-                                    snap->epoch - 1, Fidelity::kStale};
-  };
-  if (overloaded()) {
-    if (auto d = stale_pairs()) {
-      span_tag(span, "degrade", "admission");
-      return ready_future(std::move(*d));
-    }
-  }
-  auto exact = [this, snap, key, k, span, timer = Timer()] {
-    auto pairs = std::make_shared<const std::vector<count::VertexPair>>(
-        count::top_wedge_pairs_v1(snap->graph, k));
-    cache_.put(key, CacheValue{pairs});
-    const double us = timer.seconds() * 1e6;
-    BFC_HIST_OBSERVE("svc.latency_us.top_pairs", us);
-    observe_latency(QueryKind::kTopPairs, us);
-    span_tag(span, "outcome", "exact");
-    span_close(span);
-    return QueryResult<TopPairsPtr>{TopPairsPtr(pairs), snap->epoch,
-                                    Fidelity::kExact};
-  };
-  if (auto fut = pool_.try_submit(std::move(exact), req.deadline, stale_pairs,
-                                  span_ctx(span)))
-    return std::move(*fut);
-  span_tag(span, "rejected", "true");
-  if (auto d = stale_pairs()) return ready_future(std::move(*d));
-  span_tag(span, "outcome", "shed");
-  return overload_future<QueryResult<TopPairsPtr>>(
-      OverloadError::Reason::kRejected);
-}
-
-// ---- sharded query paths ---------------------------------------------------
-
-std::future<QueryResult<count_t>> ButterflyService::sharded_global(
-    Request req) {
-  shard::ShardViewPtr view = resolve_view(req);
-  BFC_COUNT_ADD("svc.queries", 1);
-  BFC_COUNT_ADD("svc.scatter_queries", 1);
-  const SpanPtr span = open_span(root_context(req), "svc.query.global");
-  span_tag(span, "sig", view->signature);
-  // Partial-result contract: a scatter query folds every range in, so any
-  // unreachable shard (its snapshot is the last known epoch, not a fresh
-  // pin) downgrades the whole answer to kStale with the per-shard bits in
-  // stale_shards. The VALUE is still exact for the pinned epoch vector —
-  // only freshness is in question.
-  const std::uint64_t qmask = view->stale_mask;
-  const Fidelity base_fid = qmask ? Fidelity::kStale : Fidelity::kExact;
-  const char* base_outcome = qmask ? "stale" : "exact";
-  const CacheKey key{view->signature, QueryKind::kGlobalCount, 0, 0,
-                     view_tier()};
-  if (const auto hit = cache_.get(key)) {
-    BFC_HIST_OBSERVE("svc.latency_us.global", 0);
-    observe_latency(QueryKind::kGlobalCount, 0.0);
-    if (qmask) note_stale_mask(qmask);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", base_outcome);
-    return ready_future(QueryResult<count_t>{
-        std::get<count_t>(*hit), view->version, base_fid, qmask});
-  }
-  span_tag(span, "cache", "miss");
-  auto degraded = [this, view, span]() -> std::optional<QueryResult<count_t>> {
-    // Rung 1: the previous view generation's composed answer.
-    if (auto stale = stale_view_scalar(QueryKind::kGlobalCount, 0, 0)) {
-      BFC_COUNT_ADD("svc.degraded", 1);
-      BFC_COUNT_ADD("svc.stale_answers", 1);
-      span_tag(span, "outcome", "stale");
-      span_close(span);
-      return stale;
-    }
-    // Rung 2: the freshest COMPLETED cross aggregate of any signature plus
-    // the pinned locals — mixed freshness, honestly tagged stale.
-    if (auto agg = scatter_.latest_ready()) {
-      BFC_COUNT_ADD("svc.degraded", 1);
-      BFC_COUNT_ADD("svc.stale_answers", 1);
-      span_tag(span, "outcome", "stale");
-      span_close(span);
-      return QueryResult<count_t>{
-          chk::checked_add(view->local_butterflies(), (*agg)->butterflies),
-          view->version, Fidelity::kStale};
-    }
-    return std::nullopt;
-  };
-  if (overloaded()) {
-    if (auto d = degraded()) {
-      span_tag(span, "degrade", "admission");
-      return ready_future(std::move(*d));
-    }
-  }
-  auto fallback = [degraded, span] {
-    span_tag(span, "degrade", "abandoned");
-    auto d = degraded();
-    if (!d) {
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-    }
-    return d;
-  };
-  auto exact = [this, view, key, degraded, qmask, base_fid, base_outcome,
-                deadline = req.deadline, span, trace = span_ctx(span),
-                timer = Timer()] {
-    try {
-      const shard::CrossAggregatePtr agg =
-          scatter_.cross(view, deadline.token(), trace);
-      const count_t value = shard::ScatterGather::global_count(*view, *agg);
-      cache_.put(key, value);
-      const double us = timer.seconds() * 1e6;
-      BFC_HIST_OBSERVE("svc.latency_us.global", us);
-      observe_latency(QueryKind::kGlobalCount, us);
-      if (qmask) note_stale_mask(qmask);
-      span_tag(span, "outcome", base_outcome);
-      span_close(span);
-      return QueryResult<count_t>{value, view->version, base_fid, qmask};
-    } catch (const CancelledError&) {
-      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-      span_tag(span, "cancelled", "true");
-      if (auto d = degraded()) return std::move(*d);
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-      throw OverloadError(OverloadError::Reason::kDeadline);
-    } catch (const shard::ShardUnavailableError&) {
-      // A cross-process leg died mid-compute: same ladder as a deadline
-      // trip — the range isolation contract forbids failing the query.
-      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-      span_tag(span, "cancelled", "true");
-      if (auto d = degraded()) return std::move(*d);
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-      throw OverloadError(OverloadError::Reason::kDeadline);
-    }
-  };
-  if (auto fut = pool_.try_submit(std::move(exact), req.deadline,
-                                  std::move(fallback), span_ctx(span)))
-    return std::move(*fut);
-  span_tag(span, "rejected", "true");
-  if (auto d = degraded()) return ready_future(std::move(*d));
-  span_tag(span, "outcome", "shed");
-  return overload_future<QueryResult<count_t>>(
-      OverloadError::Reason::kRejected);
-}
-
-std::future<QueryResult<count_t>> ButterflyService::sharded_tip(
-    vidx_t vertex, bool v1_side, Request req) {
-  const QueryKind kind =
-      v1_side ? QueryKind::kVertexTipV1 : QueryKind::kVertexTipV2;
-  shard::ShardViewPtr view = resolve_view(req);
-  // tip_v1 routes to the owner shard; tip_v2 scatters over all of them.
-  const int owner = v1_side ? store_.partition().owner(vertex) : -1;
-  BFC_COUNT_ADD("svc.queries", 1);
-  if (!v1_side) BFC_COUNT_ADD("svc.scatter_queries", 1);
-  const SpanPtr span = open_span(
-      root_context(req), v1_side ? "svc.query.tip_v1" : "svc.query.tip_v2");
-  span_tag(span, "sig", view->signature);
-  if (owner >= 0) span_tag(span, "shard", static_cast<std::uint64_t>(owner));
-  // Routed (tip_v1): stale only when the OWNER range is dark — a dead
-  // shard can take no publishes, so every other range's answer is exact
-  // for the pinned view (the per-vertex locality argument). Scattered
-  // (tip_v2): any dark shard taints the whole sum.
-  const std::uint64_t qmask =
-      v1_side ? (view->stale_mask &
-                 (owner < 64 ? std::uint64_t{1} << owner : 0u))
-              : view->stale_mask;
-  const Fidelity base_fid = qmask ? Fidelity::kStale : Fidelity::kExact;
-  const char* base_outcome = qmask ? "stale" : "exact";
-  const CacheKey key{view->signature, kind, vertex, 0, view_tier()};
-  if (const auto hit = cache_.get(key)) {
-    if (v1_side)
-      BFC_HIST_OBSERVE("svc.latency_us.tip_v1", 0);
-    else
-      BFC_HIST_OBSERVE("svc.latency_us.tip_v2", 0);
-    observe_latency(kind, 0.0, owner);
-    if (qmask) note_stale_mask(qmask);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", base_outcome);
-    return ready_future(QueryResult<count_t>{
-        std::get<count_t>(*hit), view->version, base_fid, qmask});
-  }
-  span_tag(span, "cache", "miss");
-  auto degraded = [this, view, vertex, v1_side, owner, span] {
-    auto d = degraded_tip_sharded(view, vertex, v1_side, owner);
-    if (d) {
-      span_tag(span, "outcome", fidelity_name(d->fidelity));
-      span_close(span);
-    }
-    return d;
-  };
-  if (overloaded(owner)) {
-    if (auto d = degraded()) {
-      span_tag(span, "degrade", "admission");
-      return ready_future(std::move(*d));
-    }
-  }
-  auto fallback = [degraded, span] {
-    span_tag(span, "degrade", "abandoned");
-    auto d = degraded();
-    if (!d) {
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-    }
-    return d;
-  };
-  auto exact = [this, view, key, kind, vertex, v1_side, owner, degraded,
-                qmask, base_fid, base_outcome, deadline = req.deadline, span,
-                trace = span_ctx(span), timer = Timer()] {
-    try {
-      const shard::CrossAggregatePtr agg =
-          scatter_.cross(view, deadline.token(), trace);
-      count_t value = v1_side ? agg->tip_v1(vertex) : agg->tip_v2(vertex);
-      if (v1_side) {
-        // Local part lives wholly on the owner shard.
-        const SnapshotPtr& snap =
-            view->shards[static_cast<std::size_t>(owner)];
-        const TipVector tips =
-            tips_for(owner, snap, true, deadline.token(), trace);
-        value = chk::checked_add(value,
-                                 (*tips)[static_cast<std::size_t>(vertex)]);
-      } else {
-        // Every shard sees some of v's butterflies; their tips sum.
-        for (int s = 0; s < view->shard_count(); ++s) {
-          const TipVector tips =
-              tips_for(s, view->shards[static_cast<std::size_t>(s)], false,
-                       deadline.token(), trace);
-          value = chk::checked_add(value,
-                                   (*tips)[static_cast<std::size_t>(vertex)]);
-        }
-      }
-      cache_.put(key, value);
-      const double us = timer.seconds() * 1e6;
-      if (v1_side)
-        BFC_HIST_OBSERVE("svc.latency_us.tip_v1", us);
-      else
-        BFC_HIST_OBSERVE("svc.latency_us.tip_v2", us);
-      observe_latency(kind, us, owner);
-      if (qmask) note_stale_mask(qmask);
-      span_tag(span, "outcome", base_outcome);
-      span_close(span);
-      return QueryResult<count_t>{value, view->version, base_fid, qmask};
-    } catch (const CancelledError&) {
-      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-      span_tag(span, "cancelled", "true");
-      if (auto d = degraded()) return std::move(*d);
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-      throw OverloadError(OverloadError::Reason::kDeadline);
-    } catch (const shard::ShardUnavailableError&) {
-      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-      span_tag(span, "cancelled", "true");
-      if (auto d = degraded()) return std::move(*d);
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-      throw OverloadError(OverloadError::Reason::kDeadline);
-    }
-  };
-  if (auto fut = pool_.try_submit(std::move(exact), req.deadline,
-                                  std::move(fallback), span_ctx(span)))
-    return std::move(*fut);
-  span_tag(span, "rejected", "true");
-  if (auto d = degraded()) return ready_future(std::move(*d));
-  span_tag(span, "outcome", "shed");
-  return overload_future<QueryResult<count_t>>(
-      OverloadError::Reason::kRejected);
-}
-
-std::future<QueryResult<count_t>> ButterflyService::sharded_edge(
-    vidx_t u, vidx_t v, Request req) {
-  shard::ShardViewPtr view = resolve_view(req);
-  const int owner = store_.partition().owner(u);
-  BFC_COUNT_ADD("svc.queries", 1);
-  const SpanPtr span = open_span(root_context(req), "svc.query.edge");
-  span_tag(span, "sig", view->signature);
-  span_tag(span, "shard", static_cast<std::uint64_t>(owner));
-  // Routed query: only the owner range's darkness taints the answer (see
-  // sharded_tip).
-  const std::uint64_t qmask =
-      view->stale_mask & (owner < 64 ? std::uint64_t{1} << owner : 0u);
-  const Fidelity base_fid = qmask ? Fidelity::kStale : Fidelity::kExact;
-  const char* base_outcome = qmask ? "stale" : "exact";
-  const CacheKey key{view->signature, QueryKind::kEdgeSupport, u, v,
-                     view_tier()};
-  if (const auto hit = cache_.get(key)) {
-    BFC_HIST_OBSERVE("svc.latency_us.edge", 0);
-    observe_latency(QueryKind::kEdgeSupport, 0.0, owner);
-    if (qmask) note_stale_mask(qmask);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", base_outcome);
-    return ready_future(QueryResult<count_t>{
-        std::get<count_t>(*hit), view->version, base_fid, qmask});
-  }
-  span_tag(span, "cache", "miss");
-  // Same contract as single-shard: support is one row scan per shard, cheap
-  // enough to answer inline (exact) when shedding.
-  auto inline_answer = [this, view, key, owner, u, v, qmask, base_fid,
-                        base_outcome,
-                        span]() -> std::optional<QueryResult<count_t>> {
-    if (auto stale = stale_view_scalar(QueryKind::kEdgeSupport, u, v)) {
-      BFC_COUNT_ADD("svc.degraded", 1);
-      BFC_COUNT_ADD("svc.stale_answers", 1);
-      note_degraded(owner);
-      span_tag(span, "outcome", "stale");
-      span_close(span);
-      return stale;
-    }
-    const count_t value = sharded_support(*view, owner, u, v);
-    cache_.put(key, value);
-    BFC_COUNT_ADD("svc.inline_answers", 1);
-    if (qmask) note_stale_mask(qmask);
-    span_tag(span, "inline", "true");
-    span_tag(span, "outcome", base_outcome);
-    span_close(span);
-    return QueryResult<count_t>{value, view->version, base_fid, qmask};
-  };
-  if (overloaded(owner)) {
-    span_tag(span, "degrade", "admission");
-    return ready_future(std::move(*inline_answer()));
-  }
-  auto exact = [this, view, key, owner, u, v, qmask, base_fid, base_outcome,
-                span, timer = Timer()] {
-    const count_t value = sharded_support(*view, owner, u, v);
-    cache_.put(key, value);
-    const double us = timer.seconds() * 1e6;
-    BFC_HIST_OBSERVE("svc.latency_us.edge", us);
-    observe_latency(QueryKind::kEdgeSupport, us, owner);
-    if (qmask) note_stale_mask(qmask);
-    span_tag(span, "outcome", base_outcome);
-    span_close(span);
-    return QueryResult<count_t>{value, view->version, base_fid, qmask};
-  };
-  if (auto fut = pool_.try_submit(std::move(exact), req.deadline,
-                                  inline_answer, span_ctx(span)))
-    return std::move(*fut);
-  span_tag(span, "rejected", "true");
-  return ready_future(std::move(*inline_answer()));
-}
-
-std::future<QueryResult<TopPairsPtr>> ButterflyService::sharded_top_pairs(
-    std::size_t k, Request req) {
-  shard::ShardViewPtr view = resolve_view(req);
-  BFC_COUNT_ADD("svc.queries", 1);
-  BFC_COUNT_ADD("svc.scatter_queries", 1);
-  const SpanPtr span = open_span(root_context(req), "svc.query.top_pairs");
-  span_tag(span, "sig", view->signature);
+  span_tag(span, "epoch", view->version);
   // Scatter query: any dark shard taints the merged list (see
-  // sharded_global).
+  // global_count).
   const std::uint64_t qmask = view->stale_mask;
-  const Fidelity base_fid = qmask ? Fidelity::kStale : Fidelity::kExact;
-  const char* base_outcome = qmask ? "stale" : "exact";
-  const CacheKey key{view->signature, QueryKind::kTopPairs,
-                     static_cast<std::int64_t>(k), 0, view_tier()};
-  if (const auto hit = cache_.get(key)) {
-    BFC_HIST_OBSERVE("svc.latency_us.top_pairs", 0);
-    observe_latency(QueryKind::kTopPairs, 0.0);
-    if (qmask) note_stale_mask(qmask);
-    span_tag(span, "cache", "hit");
-    span_tag(span, "outcome", base_outcome);
-    return ready_future(QueryResult<TopPairsPtr>{
-        std::get<TopPairsPtr>(*hit), view->version, base_fid, qmask});
-  }
-  span_tag(span, "cache", "miss");
-  // Only stale rung, as in single-shard mode: no cheap sampled substitute
-  // exists for an exact merged top-k list.
-  auto stale_pairs = [this, k,
-                      span]() -> std::optional<QueryResult<TopPairsPtr>> {
-    auto d = stale_view_pairs(k);
-    if (!d) return std::nullopt;
-    BFC_COUNT_ADD("svc.degraded", 1);
-    BFC_COUNT_ADD("svc.stale_answers", 1);
-    span_tag(span, "outcome", "stale");
-    span_close(span);
+  const auto kk = static_cast<std::int64_t>(k);
+  const CacheKey key{view->signature, QueryKind::kTopPairs, kk, 0,
+                     view_tier()};
+  if (auto hit = cached<TopPairsPtr>(key, *view, qmask, -1, span))
+    return ready_future(settle(span, std::move(*hit)));
+  // Only stale rung: there is no cheap sampled substitute for an exact
+  // top-k list, so with no previous-generation list the query is shed.
+  auto ladder = [this, view, kk] {
+    auto d = stale_view<TopPairsPtr>(*view, QueryKind::kTopPairs, kk, 0);
+    if (d) note_stale(-1);
     return d;
   };
-  if (overloaded()) {
-    if (auto d = stale_pairs()) {
-      span_tag(span, "degrade", "admission");
-      return ready_future(std::move(*d));
+  auto exact = [this, view, key, k, kk, qmask, span, timer = Timer()](
+                   const Deadline& deadline, const obs::TraceContext& trace) {
+    const shard::CrossAggregatePtr agg =
+        scatter_.cross(view, deadline.token(), trace);
+    std::vector<std::vector<count::VertexPair>> per_shard;
+    per_shard.reserve(view->shards.size());
+    for (int s = 0; s < view->shard_count(); ++s) {
+      const SnapshotPtr& snap = view->shards[static_cast<std::size_t>(s)];
+      per_shard.push_back(*shard_component<TopPairsPtr>(
+          CacheKey{snap->epoch, QueryKind::kTopPairs, kk, 0, s}, [&] {
+            return std::make_shared<const std::vector<count::VertexPair>>(
+                count::top_wedge_pairs_v1(snap->graph, k));
+          }));
     }
-  }
-  auto exact = [this, view, key, k, qmask, base_fid, base_outcome, span,
-                deadline = req.deadline, trace = span_ctx(span),
-                timer = Timer()] {
-    try {
-      const shard::CrossAggregatePtr agg =
-          scatter_.cross(view, deadline.token(), trace);
-      std::vector<std::vector<count::VertexPair>> per_shard;
-      per_shard.reserve(view->shards.size());
-      for (int s = 0; s < view->shard_count(); ++s)
-        per_shard.push_back(*shard_top_list(*view, s, k));
-      auto pairs = std::make_shared<const std::vector<count::VertexPair>>(
-          shard::ScatterGather::merge_top_pairs(per_shard, agg->pairs, k));
-      cache_.put(key, CacheValue{pairs});
-      const double us = timer.seconds() * 1e6;
-      BFC_HIST_OBSERVE("svc.latency_us.top_pairs", us);
-      observe_latency(QueryKind::kTopPairs, us);
-      if (qmask) note_stale_mask(qmask);
-      span_tag(span, "outcome", base_outcome);
-      span_close(span);
-      return QueryResult<TopPairsPtr>{TopPairsPtr(pairs), view->version,
-                                      base_fid, qmask};
-    } catch (const CancelledError&) {
-      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-      span_tag(span, "cancelled", "true");
-      if (auto d = stale_view_pairs(k)) {
-        BFC_COUNT_ADD("svc.degraded", 1);
-        BFC_COUNT_ADD("svc.stale_answers", 1);
-        span_tag(span, "outcome", "stale");
-        span_close(span);
-        return std::move(*d);
-      }
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-      throw OverloadError(OverloadError::Reason::kDeadline);
-    } catch (const shard::ShardUnavailableError&) {
-      // A leg's host died between the view pin and the fan-out. Same
-      // ladder as cancellation: last retired view if one exists, else
-      // shed — the NEXT pin will mark the range stale and answer.
-      BFC_COUNT_ADD("svc.kernels_cancelled", 1);
-      span_tag(span, "cancelled", "true");
-      if (auto d = stale_view_pairs(k)) {
-        BFC_COUNT_ADD("svc.degraded", 1);
-        BFC_COUNT_ADD("svc.stale_answers", 1);
-        span_tag(span, "outcome", "stale");
-        span_close(span);
-        return std::move(*d);
-      }
-      span_tag(span, "outcome", "shed");
-      span_close(span);
-      throw OverloadError(OverloadError::Reason::kDeadline);
-    }
+    auto pairs = std::make_shared<const std::vector<count::VertexPair>>(
+        shard::ScatterGather::merge_top_pairs(per_shard, agg->pairs, k));
+    cache_.put(key, CacheValue{pairs});
+    observe_latency(QueryKind::kTopPairs, timer.seconds() * 1e6);
+    return settle(span, at_view(TopPairsPtr(pairs), *view, qmask));
   };
-  if (auto fut = pool_.try_submit(std::move(exact), req.deadline, stale_pairs,
-                                  span_ctx(span)))
-    return std::move(*fut);
-  span_tag(span, "rejected", "true");
-  if (auto d = stale_pairs()) return ready_future(std::move(*d));
-  span_tag(span, "outcome", "shed");
-  return overload_future<QueryResult<TopPairsPtr>>(
-      OverloadError::Reason::kRejected);
+  return serve<TopPairsPtr>(req.deadline, span, -1, std::move(exact),
+                            std::move(ladder));
 }
 
-count_t ButterflyService::sharded_support(const shard::ShardView& view,
-                                          int owner, vidx_t u, vidx_t v) {
+count_t ButterflyService::support_at(const shard::ShardView& view, int owner,
+                                     vidx_t u, vidx_t v) {
   const SnapshotPtr& snap = view.shards[static_cast<std::size_t>(owner)];
   // All of u's edges live on its owner shard: absent there means absent.
   if (!snap->graph.has_edge(u, v)) return 0;
   // The same-shard component depends only on shard `owner`'s state, so it
   // caches in that shard's tier keyed by the SHARD epoch — it survives
   // publishes on every other shard.
-  const CacheKey local_key{snap->epoch, QueryKind::kEdgeSupport, u, v, owner};
-  count_t local = 0;
-  if (const auto hit = cache_.get(local_key)) {
-    local = std::get<count_t>(*hit);
-  } else {
-    local = support_of_edge(snap->graph, u, v);
-    cache_.put(local_key, local);
-  }
-  publish_shard_gauge(owner);
+  const count_t local = shard_component<count_t>(
+      CacheKey{snap->epoch, QueryKind::kEdgeSupport, u, v, owner},
+      [&] { return support_of_edge(snap->graph, u, v); });
   return chk::checked_add(
       local, shard::ScatterGather::edge_support_cross(view, owner, u, v));
 }
 
-TopPairsPtr ButterflyService::shard_top_list(const shard::ShardView& view,
-                                             int s, std::size_t k) {
-  const SnapshotPtr& snap = view.shards[static_cast<std::size_t>(s)];
-  // Shard-local list: keyed by the shard epoch in the shard's own tier.
-  const CacheKey key{snap->epoch, QueryKind::kTopPairs,
-                     static_cast<std::int64_t>(k), 0, s};
-  if (const auto hit = cache_.get(key)) {
-    publish_shard_gauge(s);
-    return std::get<TopPairsPtr>(*hit);
-  }
-  auto list = std::make_shared<const std::vector<count::VertexPair>>(
-      count::top_wedge_pairs_v1(snap->graph, k));
-  cache_.put(key, CacheValue{list});
-  publish_shard_gauge(s);
-  return list;
-}
-
-std::optional<QueryResult<count_t>> ButterflyService::stale_view_scalar(
-    QueryKind kind, std::int64_t a, std::int64_t b) {
+template <typename T>
+std::optional<QueryResult<T>> ButterflyService::stale_view(
+    const shard::ShardView& view, QueryKind kind, std::int64_t a,
+    std::int64_t b) {
   std::uint64_t sig = 0;
   std::uint64_t ver = 0;
   {
     const MutexLock lock(view_mu_);
-    if (prev_sig_ == cur_sig_) return std::nullopt;  // no older generation
+    // Only the current generation's predecessor is known, and only a query
+    // pinned to the current generation may fall back to it: for an older
+    // pin it would be an answer newer than the pin.
+    if (view.signature != cur_sig_ || prev_sig_ == cur_sig_)
+      return std::nullopt;
     sig = prev_sig_;
     ver = prev_version_;
   }
-  const CacheKey key{sig, kind, a, b, view_tier()};
-  if (const auto hit = cache_.get(key))
-    return QueryResult<count_t>{std::get<count_t>(*hit), ver,
-                                Fidelity::kStale};
-  return std::nullopt;
-}
-
-std::optional<QueryResult<TopPairsPtr>> ButterflyService::stale_view_pairs(
-    std::size_t k) {
-  std::uint64_t sig = 0;
-  std::uint64_t ver = 0;
-  {
-    const MutexLock lock(view_mu_);
-    if (prev_sig_ == cur_sig_) return std::nullopt;
-    sig = prev_sig_;
-    ver = prev_version_;
-  }
-  const CacheKey key{sig, QueryKind::kTopPairs, static_cast<std::int64_t>(k),
-                     0, view_tier()};
-  const auto hit = cache_.get(key);
+  const auto hit = cache_.get(CacheKey{sig, kind, a, b, view_tier()});
   if (!hit) return std::nullopt;
-  return QueryResult<TopPairsPtr>{std::get<TopPairsPtr>(*hit), ver,
-                                  Fidelity::kStale};
+  return QueryResult<T>{std::get<T>(*hit), ver, Fidelity::kStale};
 }
 
-std::optional<QueryResult<count_t>> ButterflyService::degraded_tip_sharded(
+std::optional<QueryResult<count_t>> ButterflyService::degraded_tip(
     const shard::ShardViewPtr& view, vidx_t vertex, bool v1_side, int owner) {
   const QueryKind kind =
       v1_side ? QueryKind::kVertexTipV1 : QueryKind::kVertexTipV2;
-  // Rung 1: the previous view generation's composed answer.
-  if (auto stale = stale_view_scalar(kind, vertex, 0)) {
-    BFC_COUNT_ADD("svc.degraded", 1);
-    BFC_COUNT_ADD("svc.stale_answers", 1);
-    note_degraded(owner);
+  // Rung 1: the previous view generation's composed answer (kept on
+  // publish precisely for this).
+  if (auto stale = stale_view<count_t>(*view, kind, vertex, 0)) {
+    note_stale(owner);
     obs::FlightRecorder::record("degrade", "stale_view",
                                 static_cast<std::int64_t>(view->version),
                                 vertex);
     return stale;
   }
-  // Rung 2 (routed side only): a retained owner-shard pass plus the
-  // freshest completed cross aggregate. Without ANY cross aggregate the
-  // local pass alone would silently drop the correction — fall through to
-  // the estimator instead of answering provably low.
-  if (v1_side) {
-    const SnapshotPtr& snap = view->shards[static_cast<std::size_t>(owner)];
-    if (auto pass = stale_tips(owner, snap->epoch + 1, true)) {
-      std::optional<shard::CrossAggregatePtr> agg =
-          scatter_.cached(view->signature);
-      if (!agg) agg = scatter_.latest_ready();
-      if (agg) {
-        BFC_COUNT_ADD("svc.degraded", 1);
-        BFC_COUNT_ADD("svc.stale_answers", 1);
-        note_degraded(owner);
-        obs::FlightRecorder::record("degrade", "stale_tips",
-                                    static_cast<std::int64_t>(pass->first),
-                                    vertex);
-        const count_t local =
-            (*pass->second)[static_cast<std::size_t>(vertex)];
-        return QueryResult<count_t>{
-            chk::checked_add(local, (*agg)->tip_v1(vertex)), view->version,
-            Fidelity::kStale};
-      }
+  // Rung 2: a retained tip pass on every shard the answer reads, plus a
+  // cross aggregate at hand. Without ANY cross aggregate the passes alone
+  // would silently drop the correction — fall through to the estimator
+  // instead of answering provably low. The answer is the view's with each
+  // shard rolled back to its pass's epoch, and carries that view's version.
+  if (const auto agg = scatter_.at_hand(*view)) {
+    count_t value = v1_side ? (*agg)->tip_v1(vertex) : (*agg)->tip_v2(vertex);
+    std::uint64_t version = view->version;
+    const auto [lo, hi] = tip_shards(*view, owner);
+    int s = lo;
+    for (; s < hi; ++s) {
+      const std::uint64_t epoch =
+          view->shards[static_cast<std::size_t>(s)]->epoch;
+      const auto pass = stale_tips(s, epoch + 1, v1_side);
+      if (!pass) break;
+      value = chk::checked_add(
+          value, (*pass->second)[static_cast<std::size_t>(vertex)]);
+      version -= epoch - pass->first;
+    }
+    if (s == hi) {
+      note_stale(owner);
+      obs::FlightRecorder::record(
+          "degrade", "stale_tips", static_cast<std::int64_t>(version), vertex);
+      return QueryResult<count_t>{value, version, Fidelity::kStale};
     }
   }
-  // Rung 3: sampled estimate on the shard graph(s), plus the freshest
-  // completed cross contribution when one exists (local-only and biased
-  // low otherwise — still an answer, and tagged kApprox either way).
+  // Rung 3: sampled estimate on the shard graph(s) — O(samples · deg)
+  // regardless of graph size — plus the freshest completed cross
+  // contribution when one exists (local-only and biased low otherwise —
+  // still an answer, and tagged kApprox either way).
   count::ApproxOptions opt;
   count_t value = 0;
   if (v1_side) {
@@ -1095,58 +710,6 @@ std::optional<QueryResult<count_t>> ButterflyService::degraded_tip_sharded(
 }
 
 // ---- shared plumbing -------------------------------------------------------
-
-std::optional<QueryResult<count_t>> ButterflyService::degraded_tip(
-    const SnapshotPtr& snap, vidx_t vertex, bool v1_side) {
-  const QueryKind kind =
-      v1_side ? QueryKind::kVertexTipV1 : QueryKind::kVertexTipV2;
-  // Rung 1: the previous epoch's cached answer (kept on publish precisely
-  // for this).
-  if (auto stale = stale_scalar(snap, kind, vertex, 0)) {
-    BFC_COUNT_ADD("svc.degraded", 1);
-    BFC_COUNT_ADD("svc.stale_answers", 1);
-    obs::FlightRecorder::record("degrade", "stale_scalar",
-                                static_cast<std::int64_t>(snap->epoch),
-                                vertex);
-    return stale;
-  }
-  // Rung 2: a retained full tip pass from a recent epoch.
-  if (auto pass = stale_tips(0, snap->epoch, v1_side)) {
-    BFC_COUNT_ADD("svc.degraded", 1);
-    BFC_COUNT_ADD("svc.stale_answers", 1);
-    obs::FlightRecorder::record("degrade", "stale_tips",
-                                static_cast<std::int64_t>(pass->first),
-                                vertex);
-    return QueryResult<count_t>{
-        (*pass->second)[static_cast<std::size_t>(vertex)], pass->first,
-        Fidelity::kStale};
-  }
-  // Rung 3: sampled estimate on the requested snapshot — O(samples · deg)
-  // regardless of graph size, affordable even under overload.
-  count::ApproxOptions opt;
-  opt.samples = approx_samples_;
-  opt.seed = 0x5eedULL ^ (snap->epoch * 0x9e3779b97f4a7c15ULL) ^
-             static_cast<std::uint64_t>(vertex);
-  const count::ApproxResult est =
-      v1_side ? count::approx_tip_v1(snap->graph, vertex, opt)
-              : count::approx_tip_v2(snap->graph, vertex, opt);
-  BFC_COUNT_ADD("svc.degraded", 1);
-  BFC_COUNT_ADD("svc.approx_fallbacks", 1);
-  obs::FlightRecorder::record("degrade", "approx",
-                              static_cast<std::int64_t>(snap->epoch), vertex);
-  const count_t value = std::max<count_t>(0, std::llround(est.estimate));
-  return QueryResult<count_t>{value, snap->epoch, Fidelity::kApprox};
-}
-
-std::optional<QueryResult<count_t>> ButterflyService::stale_scalar(
-    const SnapshotPtr& snap, QueryKind kind, std::int64_t a, std::int64_t b) {
-  if (snap->epoch == 0) return std::nullopt;
-  const CacheKey key{snap->epoch - 1, kind, a, b};
-  if (const auto hit = cache_.get(key))
-    return QueryResult<count_t>{std::get<count_t>(*hit), snap->epoch - 1,
-                                Fidelity::kStale};
-  return std::nullopt;
-}
 
 std::optional<std::pair<std::uint64_t, ButterflyService::TipVector>>
 ButterflyService::stale_tips(int shard, std::uint64_t before_epoch,
@@ -1193,6 +756,24 @@ bool ButterflyService::overloaded(int shard) const {
 }
 
 void ButterflyService::observe_latency(QueryKind kind, double us, int shard) {
+  // The histogram hooks bind literal names: one call site per kind.
+  switch (kind) {
+    case QueryKind::kGlobalCount:
+      BFC_HIST_OBSERVE("svc.latency_us.global", us);
+      break;
+    case QueryKind::kVertexTipV1:
+      BFC_HIST_OBSERVE("svc.latency_us.tip_v1", us);
+      break;
+    case QueryKind::kVertexTipV2:
+      BFC_HIST_OBSERVE("svc.latency_us.tip_v2", us);
+      break;
+    case QueryKind::kEdgeSupport:
+      BFC_HIST_OBSERVE("svc.latency_us.edge", us);
+      break;
+    case QueryKind::kTopPairs:
+      BFC_HIST_OBSERVE("svc.latency_us.top_pairs", us);
+      break;
+  }
   slo_.observe(kind, us);
   if (shard >= 0 && shard < static_cast<int>(shard_slo_.size()))
     shard_slo_[static_cast<std::size_t>(shard)]->observe(kind, us);
@@ -1206,6 +787,18 @@ void ButterflyService::note_degraded(int shard) {
   if (shard < 0 || shard >= static_cast<int>(shard_degraded_.size())) return;
   obs::Counter* c = shard_degraded_[static_cast<std::size_t>(shard)];
   if (c != nullptr) c->increment();
+}
+
+void ButterflyService::note_stale(int shard) {
+  BFC_COUNT_ADD("svc.degraded", 1);
+  BFC_COUNT_ADD("svc.stale_answers", 1);
+  note_degraded(shard);
+}
+
+void ButterflyService::note_scatter(QueryKind kind,
+                                    const shard::ShardView& view) {
+  if (shard::ShardRouter::scatters(kind) && view.shard_count() > 1)
+    BFC_COUNT_ADD("svc.scatter_queries", 1);
 }
 
 void ButterflyService::note_stale_mask(std::uint64_t mask) {
@@ -1273,8 +866,7 @@ ButterflyService::TipVector ButterflyService::tips_for(
     obs::Span kernel_span(
         trace, v1_side ? "svc.kernel.tip_v1" : "svc.kernel.tip_v2");
     kernel_span.tag("epoch", snap->epoch);
-    if (shards_ > 1)
-      kernel_span.tag("shard", static_cast<std::uint64_t>(shard));
+    kernel_span.tag("shard", static_cast<std::uint64_t>(shard));
     try {
       // Checked builds can inject latency here to force deadline expiry
       // mid-pass (fault::Point::kSlowKernel, param = milliseconds).

@@ -16,26 +16,31 @@
 //                         concurrent and later requests block on (or read)
 //                         the same shared future instead of re-scanning.
 //
-// Sharded serving (ServiceOptions::shards > 1): the store becomes a
-// shard::ShardedSnapshotStore — the V1 side range-partitioned across N
-// independently-published shards — and the same three layers go per-shard:
+// One query path for any shard count. The store is a
+// shard::ShardedSnapshotStore — the V1 side range-partitioned across
+// N >= 1 independently-published shards — and the single store is simply
+// N = 1, the same way the sharded combine Ξ = Σ local + cross reduces to
+// the shard's own count when there is no second shard to cross into:
 //
 //   - pinning       queries pin a ShardView (one snapshot per shard); a
-//                   Request may carry its own view, exactly as it may
-//                   carry a snapshot in single-shard mode;
+//                   Request may carry its own view, or — one shard — a
+//                   pinned snapshot, which is that shard's view;
 //   - routing       tip_v1 and edge_support route to the owning shard and
 //                   add the cross-shard correction (shard/scatter_gather);
-//                   global_count, tip_v2 and top_pairs scatter across all
-//                   shards and gather exact merged answers;
-//   - caching       the ResultCache runs shards + 1 tiers: tier k holds
-//                   shard-k components keyed by shard k's epoch (a publish
-//                   on shard j leaves them untouched), the last tier holds
-//                   composed answers keyed by the view signature;
+//                   global_count, tip_v2 and top_pairs gather over all
+//                   shards. With one shard the correction is a shared
+//                   empty aggregate: no pass, no lock;
+//   - caching       the ResultCache runs one tier per shard, keyed by that
+//                   shard's epoch (a publish on shard j leaves the others
+//                   untouched), plus — N > 1 — a tier of composed answers
+//                   keyed by the view signature. A one-shard view's
+//                   signature is its epoch, so it composes in the shard's
+//                   own tier: one entry per answer;
 //   - coalescing    tip passes memoise per (shard, epoch, side); the
 //                   cross-shard aggregate memoises per view signature.
 //
-// With shards == 1 every path is the pre-sharding one: same cache keys,
-// same epochs, same persist format, byte-identical answers.
+// Answers report the view's version, the Σ of its shard epochs: with one
+// shard, exactly the shard's epoch (persist format and restore included).
 //
 // Fault tolerance (the robustness layer on top):
 //
@@ -50,14 +55,14 @@
 //   - degraded answers    every query resolves to QueryResult{value,
 //                         epoch, fidelity}: under overload (queue depth or
 //                         p95 latency past the configured thresholds) the
-//                         service walks a ladder — previous-epoch (or
-//                         previous-view-generation) cached answer (kStale),
-//                         retained pass memos (kStale), sampled estimate
+//                         service walks a ladder — previous view
+//                         generation's cached answer (kStale), retained
+//                         pass memos (kStale), sampled estimate
 //                         via count::approx_tip (kApprox) — and only throws
 //                         OverloadError when no rung produces a value.
-//                         Sharded mode keeps one SloTracker per shard, so
-//                         overload on one shard's traffic degrades only the
-//                         queries routed there.
+//                         With N > 1 shards one SloTracker per shard
+//                         also runs, so overload on one shard's traffic
+//                         degrades only the queries routed there.
 //
 // Everything is wired into the obs registry: svc.queries, svc.cache_hits /
 // svc.cache_misses / svc.cache_hit_rate, svc.tip_passes,
@@ -67,14 +72,16 @@
 // svc.inline_answers, one latency histogram per query kind
 // (svc.latency_us.<kind>), and — sharded — svc.scatter_queries plus the
 // per-shard family svc.shard.<k>.publishes / .cache_hit_rate / .degraded.
+// (svc.scatter_queries and svc.gather_merges count only real fan-outs and
+// merges: a one-shard view has nothing to scatter or merge.)
 //
 // Telemetry (obs/spans.hpp): when span collection is enabled, every query
 // runs under one "svc.query.<kind>" span — rooted fresh, or parented into
 // the Request's TraceContext — with child spans for the queue wait
 // (svc.queue, recorded by the Executor), the coalesced kernel pass
-// (svc.kernel.tip_v1/v2) and, sharded, the cross pass (svc.scatter /
-// svc.gather) and per-shard publishes (svc.shard.publish). Tags record the
-// decisions: cache=hit|miss, outcome=exact|stale|approx|shed,
+// (svc.kernel.tip_v1/v2) and, with N > 1 shards, the cross pass
+// (svc.scatter / svc.gather) and per-shard publishes (svc.shard.publish).
+// Tags record the decisions: cache=hit|miss, outcome=exact|stale|approx|shed,
 // rejected/cancelled flags, and the rung the degrade ladder stopped at.
 // SLO accounting (svc/slo.hpp) rides the same latency stream:
 // ServiceOptions::slo_target_us arms per-kind objectives whose
@@ -117,8 +124,8 @@ struct ServiceOptions {
   std::size_t cache_capacity = 1 << 16;
   std::uint64_t memo_keep_epochs = 4;  // trailing epochs whose tip passes stay
   // ---- sharding ----------------------------------------------------------
-  // Number of range-partitioned V1 shards. 1 (the default) is the classic
-  // single-store service; N > 1 turns on routed/scattered queries and lets
+  // Number of range-partitioned V1 shards. 1 (the default) is the single
+  // store; N > 1 adds the cross-shard correction to every answer and lets
   // writers on disjoint ranges publish concurrently (apply_updates_shard).
   int shards = 1;
   // ---- robustness knobs --------------------------------------------------
@@ -146,11 +153,12 @@ class ButterflyService {
 
   // ---- writer side -------------------------------------------------------
 
-  /// Applies the batch and publishes the next epoch(s); drops cache entries
+  /// Routes the batch by V1 owner; each touched shard publishes its next
+  /// epoch (an empty batch publishes nothing), drops its cache entries
   /// older than the just-retired epoch (which stays as the stale tier) and
-  /// retires tip-pass memos older than memo_keep_epochs. Sharded, the batch
-  /// is routed by V1 owner and each touched shard publishes independently;
-  /// the returned epoch is then the store's global version.
+  /// retires its tip-pass memos older than memo_keep_epochs. The returned
+  /// epoch is the version of the view pinned after the last publish — with
+  /// one shard, that shard's new epoch.
   PublishResult apply_updates(std::span<const EdgeUpdate> batch);
   PublishResult apply_updates(std::initializer_list<EdgeUpdate> batch) {
     return apply_updates(
@@ -192,57 +200,57 @@ class ButterflyService {
 
   // ---- reader side -------------------------------------------------------
 
-  /// Pins the latest snapshot. Pass it to the query methods to run several
-  /// queries against one consistent epoch; queries called with no snapshot
-  /// pin the latest themselves. Sharded (shards > 1) this MATERIALISES the
-  /// union of the per-shard graphs at one pinned view — an O(edges) rebuild
-  /// plus one cross pass, for drift checks and offline use, not a per-query
-  /// pin; sharded queries pin views (see view()) instead and ignore
-  /// Request::snap.
+  /// Pins the latest snapshot of the whole graph. With one shard this is
+  /// O(1) — the shard's snapshot — and a Request carrying it answers as
+  /// that shard's view. With N > 1 shards it MATERIALISES the union of the
+  /// per-shard graphs at one pinned view — an O(edges) rebuild plus one
+  /// cross pass, for drift checks and offline use, not a per-query pin;
+  /// those services pin views (see view()) and ignore Request::snap.
   [[nodiscard]] SnapshotPtr snapshot() const;
 
   /// Pins the latest per-shard snapshots into one ShardView (cheap: N
-  /// atomic loads). Pass it via Request to answer several sharded queries
-  /// against one frozen view. Single-shard services accept it too.
+  /// atomic loads). Pass it via Request to answer several queries against
+  /// one frozen view, for any shard count.
   [[nodiscard]] shard::ShardViewPtr view() const { return store_.view(); }
 
-  /// Ξ_G of the pinned epoch. Single-shard: O(1), maintained incrementally
-  /// by the writer, never queued, never degraded. Sharded: Σ shard-local
-  /// counts plus the cross-shard correction — a real scatter query that
-  /// caches per view signature and can degrade like any other.
+  /// Ξ_G of the pinned view: Σ shard-local counts (each maintained
+  /// incrementally by its writer) plus the cross-shard correction. With one
+  /// shard the correction needs no pass, so the answer is O(1), inline,
+  /// never queued and never degraded; otherwise it is a real scatter query
+  /// that caches per view signature and can degrade like any other.
   [[nodiscard]] std::future<QueryResult<count_t>> global_count(
       Request req = {});
 
   /// Butterflies containing V1 vertex u (tip number). Coalesced: concurrent
-  /// same-epoch tip queries share one butterflies_per_v1 pass (per shard,
-  /// when sharded — plus one shared cross aggregate per view signature).
-  /// Under overload the answer may be kStale (previous epoch / view
-  /// generation) or kApprox (sampled); the fidelity tag says which.
+  /// same-epoch tip queries share one butterflies_per_v1 pass per shard,
+  /// plus one shared cross aggregate per view signature. Under overload
+  /// the answer may be kStale (previous view generation, or retained
+  /// passes) or kApprox (sampled); the fidelity tag says which.
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v1(
       vidx_t u, Request req = {});
   [[nodiscard]] std::future<QueryResult<count_t>> vertex_tip_v2(
       vidx_t v, Request req = {});
 
   /// Butterflies containing edge (u, v); 0 when the edge is absent at the
-  /// pinned epoch. O(Σ_{w∈N(v)} min(deg u, deg w)), no global pass — cheap
-  /// enough that shedding answers it inline (exact) rather than degrading.
-  /// Sharded: owner-shard support plus the cross-shard term, still inline.
+  /// pinned view. Owner-shard support, O(Σ_{w∈N(v)} min(deg u, deg w)),
+  /// plus the cross-shard term; no global pass — cheap enough that
+  /// shedding answers it inline (exact) rather than degrading.
   [[nodiscard]] std::future<QueryResult<count_t>> edge_support(
       vidx_t u, vidx_t v, Request req = {});
 
-  /// The k V1-pairs with the most wedges at the pinned epoch. Degrades to
-  /// the previous epoch's (or view generation's) cached list; with no stale
-  /// list the future carries OverloadError. Sharded: exact merge of
-  /// per-shard top-k lists and the cross-shard pairs.
+  /// The k V1-pairs with the most wedges at the pinned view: the exact
+  /// merge of per-shard top-k lists and the cross-shard pairs. Degrades to
+  /// the previous view generation's cached list; with no stale list the
+  /// future carries OverloadError.
   [[nodiscard]] std::future<QueryResult<TopPairsPtr>> top_pairs(
       std::size_t k, Request req = {});
 
   // ---- introspection -----------------------------------------------------
 
-  /// Shard 0's backing store — with one shard, exactly the pre-sharding
-  /// store (same epochs, same snapshots), keeping the legacy introspection
-  /// surface intact. Throws std::invalid_argument if slot 0 was swapped to
-  /// a non-local handle (swap_shard); use shard_store() for those layouts.
+  /// Shard 0's backing store — with one shard, the store of the whole
+  /// graph (same epochs, same snapshots). Throws std::invalid_argument if
+  /// slot 0 was swapped to a non-local handle (swap_shard); use
+  /// shard_store() for those layouts.
   [[nodiscard]] const SnapshotStore& store() const {
     const SnapshotStore* local = store_.local_store(0);
     require(local != nullptr,
@@ -284,57 +292,98 @@ class ButterflyService {
 
  private:
   using TipVector = std::shared_ptr<const std::vector<count_t>>;
-  /// Tip memo key: (shard, epoch, v1_side). Single-shard keys are all
-  /// shard 0, preserving the legacy (epoch, side) behavior exactly.
+  /// Tip memo key: (shard, epoch, v1_side).
   using TipKey = std::tuple<int, std::uint64_t, bool>;
+  using SpanPtr = std::shared_ptr<obs::Span>;
 
   std::future<QueryResult<count_t>> vertex_tip(vidx_t vertex, bool v1_side,
                                                Request req);
 
-  // ---- sharded query paths (shards_ > 1 only) ----------------------------
-  std::future<QueryResult<count_t>> sharded_global(Request req);
-  std::future<QueryResult<count_t>> sharded_tip(vidx_t vertex, bool v1_side,
-                                                Request req);
-  std::future<QueryResult<count_t>> sharded_edge(vidx_t u, vidx_t v,
-                                                 Request req);
-  std::future<QueryResult<TopPairsPtr>> sharded_top_pairs(std::size_t k,
-                                                          Request req);
-
-  /// The request's pinned view, else the latest.
+  /// The request's pinned view; else its pinned snapshot as a one-shard
+  /// view (only a one-shard service keys by a lone snapshot); else the
+  /// latest view.
   [[nodiscard]] shard::ShardViewPtr resolve_view(Request& req) const {
-    return req.view ? std::move(req.view) : store_.view();
+    if (req.view) return std::move(req.view);
+    if (req.snap && shards_ == 1)
+      return shard::ShardView::of({std::move(req.snap)});
+    return store_.view();
   }
-  /// Index of the composed-answer cache tier (per-shard tiers are 0..S-1).
-  [[nodiscard]] std::int32_t view_tier() const noexcept { return shards_; }
+  /// Index of the composed-answer cache tier: past the per-shard tiers
+  /// 0..N-1, or — one shard — the shard's own tier.
+  [[nodiscard]] std::int32_t view_tier() const noexcept {
+    return cache_.tiers() - 1;
+  }
 
-  /// Exact sharded support of edge (u, v): owner-shard formula (cached in
-  /// the owner's tier) plus the cross-shard term. 0 when the edge is
-  /// absent.
-  count_t sharded_support(const shard::ShardView& view, int owner, vidx_t u,
-                          vidx_t v);
+  /// The shared tail of every query after a cache miss: answer from the
+  /// ladder at admission when overloaded, else queue `exact` with the
+  /// ladder as the shed/expiry fallback and as the way out when the pass
+  /// gives up (deadline hit or shard leg lost); refused at admission,
+  /// degrade on the caller's thread. No rung left: OverloadError. `exact`
+  /// gets the request's deadline — each kernel takes its own token from
+  /// it, as a token's strided clock checks count per kernel — and the
+  /// query's trace context. `ladder` may tag the span but never closes
+  /// it; this tags the outcome and closes it.
+  template <typename T, typename Exact, typename Ladder>
+  std::future<QueryResult<T>> serve(const Deadline& deadline,
+                                    const SpanPtr& span, int owner,
+                                    Exact exact, Ladder ladder);
 
-  /// Shard s's top-k list at the view's pinned epoch, from tier s or one
-  /// count::top_wedge_pairs_v1 pass.
-  TopPairsPtr shard_top_list(const shard::ShardView& view, int s,
-                             std::size_t k);
+  /// The probe every query starts with: the composed answer at `key`,
+  /// observed as a zero-latency hit. Tags cache=hit|miss.
+  template <typename T>
+  std::optional<QueryResult<T>> cached(const CacheKey& key,
+                                       const shard::ShardView& view,
+                                       std::uint64_t qmask, int owner,
+                                       const SpanPtr& span);
 
-  /// After a shard publish: roll the (cur, prev) view-generation pair and
-  /// prune the composed-answer tier down to those two signatures.
-  void refresh_view_generation();
+  /// `value` as answered at `view`: exact, or kStale with the dark ranges
+  /// the answer reads (qmask) accounted in the degrade telemetry.
+  template <typename T>
+  QueryResult<T> at_view(T value, const shard::ShardView& view,
+                         std::uint64_t qmask);
 
-  /// Composed-answer probe at the PREVIOUS view generation — the kStale
-  /// rung of every sharded ladder. Empty when no older generation exists.
-  std::optional<QueryResult<count_t>> stale_view_scalar(QueryKind kind,
-                                                        std::int64_t a,
-                                                        std::int64_t b);
-  std::optional<QueryResult<TopPairsPtr>> stale_view_pairs(std::size_t k);
+  /// Exact support of edge (u, v) at `view`: the owner-shard formula (a
+  /// shard_component) plus the cross-shard term. 0 when the edge is absent.
+  count_t support_at(const shard::ShardView& view, int owner, vidx_t u,
+                     vidx_t v);
 
-  /// Sharded degradation ladder for a tip query: previous view
-  /// generation's composed answer, then (v1 side) a retained owner-shard
-  /// pass plus the freshest completed cross aggregate, then the sampled
-  /// estimator on the shard graph(s). `owner` is -1 for the scattered v2
-  /// side.
-  std::optional<QueryResult<count_t>> degraded_tip_sharded(
+  /// Shard key.tier's part of a composed answer, keyed by that shard's
+  /// epoch in its own tier so it survives publishes on every other shard:
+  /// a cache hit, else compute() stored there. When the shard's tier is
+  /// the composed one (one shard), the caller's entry is this entry, so
+  /// it just computes.
+  template <typename T, typename Compute>
+  T shard_component(const CacheKey& key, Compute compute);
+
+  /// Publishes `batch` on shard k, rolls the (cur, prev) view generation,
+  /// retires shard k's cache tier and the composed tier in one scan and
+  /// shard k's old tip memos. Returns the shard's result and the version
+  /// of the view pinned right after.
+  std::pair<PublishResult, std::uint64_t> publish(
+      int k, std::span<const EdgeUpdate> batch);
+
+  /// Flushes every epoch/signature-keyed tier (cache, cross memo, tip
+  /// memos) and restarts the view generation — for when the shard epoch
+  /// sequences restart (restore, swap_shard).
+  void flush();
+  /// (cur, prev) := the latest view: no previous generation yet.
+  void restart_view_generation();
+
+  /// Composed-answer probe at the view generation before `view` — the
+  /// kStale rung of every ladder. Empty unless `view` is the current
+  /// generation and an older one exists.
+  template <typename T>
+  std::optional<QueryResult<T>> stale_view(const shard::ShardView& view,
+                                           QueryKind kind, std::int64_t a,
+                                           std::int64_t b);
+
+  /// Degradation ladder for a tip query: previous view generation's
+  /// composed answer, then retained passes of every shard the answer reads
+  /// plus a cross aggregate at hand, then the sampled estimator on the
+  /// shard graph(s). `owner` is -1 for the scattered v2 side. Engaged in
+  /// practice — the approx rung always produces — but optional so a
+  /// future rung can refuse.
+  std::optional<QueryResult<count_t>> degraded_tip(
       const shard::ShardViewPtr& view, vidx_t vertex, bool v1_side,
       int owner);
 
@@ -354,34 +403,25 @@ class ButterflyService {
   /// newer in-flight pass re-inserted under the same key.
   void drop_tip_pass(const TipKey& key, std::uint64_t pass_id);
 
-  /// Degradation ladder for a single-shard tip query: previous-epoch cache
-  /// entry, then a retained tip-pass memo from an earlier epoch, then the
-  /// sampled estimator on the requested snapshot. Engaged in practice —
-  /// the approx rung always produces — but optional so a future rung can
-  /// refuse.
-  std::optional<QueryResult<count_t>> degraded_tip(const SnapshotPtr& snap,
-                                                   vidx_t vertex,
-                                                   bool v1_side);
-
-  /// Previous-epoch scalar cache probe (the kStale rung shared by tip and
-  /// edge-support queries, single-shard).
-  std::optional<QueryResult<count_t>> stale_scalar(const SnapshotPtr& snap,
-                                                   QueryKind kind,
-                                                   std::int64_t a,
-                                                   std::int64_t b);
-
   /// Most recent completed tip pass on `shard` for `side` strictly before
   /// `before_epoch`, if any memo survives.
   std::optional<std::pair<std::uint64_t, TipVector>> stale_tips(
       int shard, std::uint64_t before_epoch, bool v1_side);
 
-  /// Feeds the p95 ring and the SLO tracker(s) with one completed request;
-  /// a non-negative `shard` also feeds that shard's tracker.
+  /// Feeds the kind's latency histogram, the p95 ring and the SLO
+  /// tracker(s) with one completed request; a non-negative `shard` also
+  /// feeds that shard's tracker.
   void observe_latency(QueryKind kind, double us, int shard = -1);
 
   /// Bumps svc.shard.<k>.degraded for a routed query's degrade (no-op for
   /// scattered queries and with metrics off).
   void note_degraded(int shard);
+  /// Accounts one answer from a stale rung: the global degrade counters
+  /// plus the routed shard's.
+  void note_stale(int shard);
+  /// Counts svc.scatter_queries for a kind that gathers over every shard
+  /// of a view that has more than one.
+  static void note_scatter(QueryKind kind, const shard::ShardView& view);
   /// Accounts one answer served with unreachable shards (stale_shards
   /// mask): global degrade counters plus svc.shard.<k>.degraded per set
   /// bit — the circuit breaker's contribution to the degrade telemetry.

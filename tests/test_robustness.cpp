@@ -660,6 +660,32 @@ TEST_F(FaultGated, SaturationServesStaleTopPairsOrSheds) {
   EXPECT_THROW((void)shed.get(), svc::OverloadError);
 }
 
+// The previous-generation rung serves only queries pinned to the current
+// generation: an older pin must never get an answer newer than itself.
+TEST_F(FaultGated, SaturationNeverAnswersNewerThanThePin) {
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    svc::ButterflyService service(
+        4, 4, svc::ServiceOptions{.threads = 1, .shards = shards});
+    (void)service.apply_updates(
+        {svc::EdgeUpdate::add(0, 0), svc::EdgeUpdate::add(0, 1),
+         svc::EdgeUpdate::add(1, 0), svc::EdgeUpdate::add(1, 1)});
+    const shard::ShardViewPtr pinned = service.view();  // one butterfly
+    (void)service.apply_updates(
+        {svc::EdgeUpdate::add(2, 0), svc::EdgeUpdate::add(2, 1)});
+    // Cached at the newer generation: the rung an old pin must not use.
+    ASSERT_EQ(service.vertex_tip_v1(0).get().value, 2);
+    (void)service.apply_updates({svc::EdgeUpdate::add(3, 3)});
+
+    const svc::fault::Scoped saturated(
+        svc::fault::Point::kQueueSaturation, 0, kForever);
+    const svc::QueryResult<count_t> r =
+        service.vertex_tip_v1(0, pinned).get();
+    EXPECT_TRUE(r.degraded());
+    EXPECT_LE(r.epoch, pinned->version);
+  }
+}
+
 TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
   using namespace std::chrono_literals;
   svc::ButterflyService service(40, 40, svc::ServiceOptions{.threads = 1});

@@ -220,19 +220,32 @@ TEST(ShardParity, AllQueryKindsMatchSingleStore) {
   }
 }
 
+// One query path for every shard count: the single store (shards = 1)
+// honours a pinned view exactly like a sharded service does, answering
+// with the view's own epoch.
 TEST(ShardParity, PinnedViewIsolatesFromLaterPublishes) {
-  ButterflyService service(12, 10, {.threads = 2, .shards = 3});
-  service.apply_updates(inserts_of(random_graph(12, 10, 0.4, 21)));
-  const shard::ShardViewPtr pinned = service.view();
-  const count_t before = service.global_count(pinned).get().value;
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ButterflyService service(12, 10, {.threads = 2, .shards = shards});
+    service.apply_updates(inserts_of(random_graph(12, 10, 0.4, 21)));
+    const shard::ShardViewPtr pinned = service.view();
+    const count_t before = service.global_count(pinned).get().value;
+    const count_t tip_before = service.vertex_tip_v1(0, pinned).get().value;
 
-  service.apply_updates_shard(
-      0, {EdgeUpdate::add(0, 9), EdgeUpdate::add(1, 9),
-          EdgeUpdate::add(2, 9)});
-  // The pinned view still answers the old state; a fresh query sees the new.
-  EXPECT_EQ(service.global_count(pinned).get().value, before);
-  const SnapshotPtr now = service.snapshot();
-  EXPECT_EQ(service.global_count().get().value, now->butterflies);
+    service.apply_updates_shard(
+        0, {EdgeUpdate::add(0, 9), EdgeUpdate::add(1, 9),
+            EdgeUpdate::add(2, 9)});
+    // The pinned view still answers the old state; a fresh query sees the
+    // new.
+    EXPECT_EQ(service.global_count(pinned).get().value, before);
+    const QueryResult<count_t> tip = service.vertex_tip_v1(0, pinned).get();
+    EXPECT_EQ(tip.value, tip_before);
+    EXPECT_EQ(tip.epoch, pinned->version);
+    const SnapshotPtr now = service.snapshot();
+    EXPECT_EQ(service.global_count().get().value, now->butterflies);
+    EXPECT_EQ(service.vertex_tip_v1(0).get().value,
+              count::butterflies_per_v1(now->graph)[0]);
+  }
 }
 
 TEST(ShardParity, ShardScopedApplyEnforcesOwnership) {
