@@ -1,15 +1,15 @@
-#include "chk/checked_math.hpp"
 #include "count/parallel_counts.hpp"
 
-#include "util/parallel.hpp"
 #include "chk/tsan_fence.hpp"
+#include "count/steps.hpp"
+#include "util/parallel.hpp"
 
 namespace bfc::count {
 namespace {
 
 /// Parallel per-line butterfly counts over the rows of `lines` (transpose
-/// in `lines_t`): the same expansion as count/per_vertex.cpp with the outer
-/// loop distributed.
+/// in `lines_t`): count/per_vertex.cpp's row body with the outer loop
+/// distributed.
 std::vector<count_t> per_line_parallel(const sparse::CsrPattern& lines,
                                        const sparse::CsrPattern& lines_t,
                                        int threads) {
@@ -20,26 +20,11 @@ std::vector<count_t> per_line_parallel(const sparse::CsrPattern& lines,
 
 #pragma omp parallel
   {
-    std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-    std::vector<vidx_t> touched;
+    sparse::WedgeAccumulator acc(n);
 #pragma omp for schedule(dynamic, 64)
-    for (vidx_t i = 0; i < n; ++i) {
-      touched.clear();
-      for (const vidx_t k : lines.row(i)) {
-        for (const vidx_t j : lines_t.row(k)) {
-          if (j == i) continue;
-          if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-          ++acc[static_cast<std::size_t>(j)];
-        }
-      }
-      count_t total = 0;
-      for (const vidx_t j : touched) {
-        total = chk::checked_add(
-            total, chk::checked_choose2(acc[static_cast<std::size_t>(j)]));
-        acc[static_cast<std::size_t>(j)] = 0;
-      }
-      out[static_cast<std::size_t>(i)] = total;
-    }
+    for (vidx_t i = 0; i < n; ++i)
+      out[static_cast<std::size_t>(i)] =
+          detail::line_butterflies(lines, lines_t, i, acc);
     fence.thread_done();
   }
   fence.join();
@@ -53,19 +38,10 @@ count_t wedge_reference_parallel(const graph::BipartiteGraph& g,
   require(threads >= 1, "wedge_reference_parallel: threads must be >= 1");
   // Expand from the side with the cheaper wedge sum, as in the sequential
   // reference; only pairs j > i are charged, so halve nothing.
-  count_t cost_v1_side = 0, cost_v2_side = 0;
-  for (vidx_t v = 0; v < g.n2(); ++v) {
-    const count_t d = g.csc().row_degree(v);
-    cost_v1_side = chk::checked_add(cost_v1_side, chk::checked_mul(d, d));
-  }
-  for (vidx_t u = 0; u < g.n1(); ++u) {
-    const count_t d = g.csr().row_degree(u);
-    cost_v2_side += d * d;
-  }
-  const sparse::CsrPattern& lines =
-      cost_v1_side <= cost_v2_side ? g.csr() : g.csc();
-  const sparse::CsrPattern& lines_t =
-      cost_v1_side <= cost_v2_side ? g.csc() : g.csr();
+  const bool v1_side =
+      detail::wedge_work(g.csc()) <= detail::wedge_work(g.csr());
+  const sparse::CsrPattern& lines = v1_side ? g.csr() : g.csc();
+  const sparse::CsrPattern& lines_t = v1_side ? g.csc() : g.csr();
 
   const vidx_t n = lines.rows();
   count_t total = 0;
@@ -74,23 +50,13 @@ count_t wedge_reference_parallel(const graph::BipartiteGraph& g,
 
 #pragma omp parallel
   {
-    std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-    std::vector<vidx_t> touched;
+    sparse::WedgeAccumulator acc(n);
 #pragma omp for schedule(dynamic, 64) reduction(+ : total)
     for (vidx_t i = 0; i < n; ++i) {
-      touched.clear();
-      for (const vidx_t k : lines.row(i)) {
-        for (const vidx_t j : lines_t.row(k)) {
-          if (j <= i) continue;
-          if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-          ++acc[static_cast<std::size_t>(j)];
-        }
-      }
-      for (const vidx_t j : touched) {
-        total = chk::checked_add(
-            total, chk::checked_choose2(acc[static_cast<std::size_t>(j)]));
-        acc[static_cast<std::size_t>(j)] = 0;
-      }
+      acc.expand(lines.row(i), lines_t, [i](vidx_t j) { return j > i; });
+      acc.drain([&total](vidx_t, count_t w) {
+        total = chk::checked_add(total, chk::checked_choose2(w));
+      });
     }
     fence.thread_done();
   }
@@ -114,37 +80,16 @@ std::vector<count_t> support_per_edge_parallel(const graph::BipartiteGraph& g,
                                                int threads) {
   require(threads >= 1, "support_per_edge_parallel: threads must be >= 1");
   const auto& a = g.csr();
-  const auto& at = g.csc();
   std::vector<count_t> support(static_cast<std::size_t>(a.nnz()), 0);
   ThreadCountGuard guard(threads);
   chk::TsanOmpFence fence;
 
 #pragma omp parallel
   {
-    std::vector<count_t> acc(static_cast<std::size_t>(a.rows()), 0);
-    std::vector<vidx_t> touched;
+    sparse::WedgeAccumulator acc(a.rows());
 #pragma omp for schedule(dynamic, 32)
-    for (vidx_t u = 0; u < a.rows(); ++u) {
-      touched.clear();
-      for (const vidx_t k : a.row(u)) {
-        for (const vidx_t w : at.row(k)) {
-          if (acc[static_cast<std::size_t>(w)] == 0) touched.push_back(w);
-          ++acc[static_cast<std::size_t>(w)];
-        }
-      }
-      const count_t deg_u = a.row_degree(u);
-      offset_t edge_id = a.row_ptr()[static_cast<std::size_t>(u)];
-      for (const vidx_t v : a.row(u)) {
-        count_t wedge_sum = 0;
-        for (const vidx_t w : at.row(v))
-          wedge_sum =
-              chk::checked_add(wedge_sum, acc[static_cast<std::size_t>(w)]);
-        support[static_cast<std::size_t>(edge_id)] =
-            wedge_sum - deg_u - at.row_degree(v) + 1;
-        ++edge_id;
-      }
-      for (const vidx_t w : touched) acc[static_cast<std::size_t>(w)] = 0;
-    }
+    for (vidx_t u = 0; u < a.rows(); ++u)
+      detail::support_row(a, g.csc(), u, acc, support);
     fence.thread_done();
   }
   fence.join();

@@ -1,37 +1,22 @@
-#include "chk/checked_math.hpp"
 #include "count/local_counts.hpp"
+#include "count/steps.hpp"
 
 namespace bfc::count {
 namespace {
 
 /// b_i for every "line" i of `lines` (rows of the given pattern), where
-/// `lines_t` is its transpose: expand wedges i -> k -> j (j ≠ i) and sum
-/// C(w_ij, 2) per i. O(Σ wedges) with a dense accumulator. One cancellation
-/// checkpoint per line: the dense accumulator is fully cleared between
+/// `lines_t` is its transpose. O(Σ wedges) with one sparse accumulator. One
+/// cancellation checkpoint per line: the accumulator is drained between
 /// lines, so abandoning there leaks no partial state.
 std::vector<count_t> per_line(const sparse::CsrPattern& lines,
                               const sparse::CsrPattern& lines_t,
                               const CancelToken& cancel, const char* where) {
   std::vector<count_t> out(static_cast<std::size_t>(lines.rows()), 0);
-  std::vector<count_t> acc(static_cast<std::size_t>(lines.rows()), 0);
-  std::vector<vidx_t> touched;
+  sparse::WedgeAccumulator acc(lines.rows());
   for (vidx_t i = 0; i < lines.rows(); ++i) {
-    cancel.checkpoint(where);
-    touched.clear();
-    for (const vidx_t k : lines.row(i)) {
-      for (const vidx_t j : lines_t.row(k)) {
-        if (j == i) continue;
-        if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-        ++acc[static_cast<std::size_t>(j)];
-      }
-    }
-    count_t total = 0;
-    for (const vidx_t j : touched) {
-      total = chk::checked_add(
-          total, chk::checked_choose2(acc[static_cast<std::size_t>(j)]));
-      acc[static_cast<std::size_t>(j)] = 0;
-    }
-    out[static_cast<std::size_t>(i)] = total;
+    cancel.checkpoint(i, where);
+    out[static_cast<std::size_t>(i)] =
+        detail::line_butterflies(lines, lines_t, i, acc);
   }
   return out;
 }

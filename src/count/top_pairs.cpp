@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "sparse/ops.hpp"
+#include "sparse/wedge_accumulator.hpp"
 
 namespace bfc::count {
 namespace {
@@ -27,27 +28,18 @@ std::vector<VertexPair> top_pairs(const sparse::CsrPattern& lines,
       heap(heap_cmp);
 
   const vidx_t n = lines.rows();
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
+  sparse::WedgeAccumulator acc(n);
   for (vidx_t i = 0; i < n; ++i) {
-    touched.clear();
-    for (const vidx_t x : lines.row(i)) {
-      for (const vidx_t j : lines_t.row(x)) {
-        if (j <= i) continue;
-        if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-        ++acc[static_cast<std::size_t>(j)];
-      }
-    }
-    for (const vidx_t j : touched) {
-      const VertexPair candidate{i, j, acc[static_cast<std::size_t>(j)]};
-      acc[static_cast<std::size_t>(j)] = 0;
+    acc.expand(lines.row(i), lines_t, [i](vidx_t j) { return j > i; });
+    acc.drain([&](vidx_t j, count_t w) {
+      const VertexPair candidate{i, j, w};
       if (heap.size() < k) {
         heap.push(candidate);
       } else if (better(candidate, heap.top())) {
         heap.pop();
         heap.push(candidate);
       }
-    }
+    });
   }
 
   std::vector<VertexPair> out;

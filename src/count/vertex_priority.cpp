@@ -3,6 +3,7 @@
 
 #include "count/baselines.hpp"
 #include "chk/checked_math.hpp"
+#include "sparse/wedge_accumulator.hpp"
 
 namespace bfc::count {
 namespace {
@@ -53,28 +54,23 @@ count_t vertex_priority(const graph::BipartiteGraph& g) {
   for (vidx_t i = 0; i < n; ++i)
     rank[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
 
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
+  sparse::WedgeAccumulator acc(n);
   std::vector<vidx_t> tmp_x, tmp_w;
   count_t total = 0;
 
   for (vidx_t x = 0; x < n; ++x) {
-    touched.clear();
     const vidx_t rx = rank[static_cast<std::size_t>(x)];
     for (const vidx_t w : u.neighbors(x, tmp_x)) {
       if (rank[static_cast<std::size_t>(w)] <= rx) continue;  // need p(w) < p(x)
       for (const vidx_t y : u.neighbors(w, tmp_w)) {
         if (y == x) continue;
         if (rank[static_cast<std::size_t>(y)] <= rx) continue;
-        if (acc[static_cast<std::size_t>(y)] == 0) touched.push_back(y);
-        ++acc[static_cast<std::size_t>(y)];
+        acc.add(y);
       }
     }
-    for (const vidx_t y : touched) {
-      total = chk::checked_add(total,
-                               chk::checked_choose2(acc[static_cast<std::size_t>(y)]));
-      acc[static_cast<std::size_t>(y)] = 0;
-    }
+    acc.drain([&total](vidx_t, count_t w) {
+      total = chk::checked_add(total, chk::checked_choose2(w));
+    });
   }
   return total;
 }

@@ -1,21 +1,9 @@
 #include "count/baselines.hpp"
-#include "chk/checked_math.hpp"
+#include "count/steps.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm.hpp"
 
 namespace bfc::count {
-namespace {
-
-count_t wedge_work(const sparse::CsrPattern& wedge_point_side) {
-  count_t work = 0;
-  for (vidx_t v = 0; v < wedge_point_side.rows(); ++v) {
-    const count_t d = wedge_point_side.row_degree(v);
-    work = chk::checked_add(work, chk::checked_mul(d, d));
-  }
-  return work;
-}
-
-}  // namespace
 
 count_t wedge_reference_v1(const graph::BipartiteGraph& g) {
   // Endpoint pairs in V1, wedge points in V2: expand rows of A through Aᵀ.
@@ -29,8 +17,8 @@ count_t wedge_reference_v2(const graph::BipartiteGraph& g) {
 count_t wedge_reference(const graph::BipartiteGraph& g) {
   // Wedge expansion from the V1 side walks every wedge whose point is in
   // V2 (cost Σ_{v∈V2} deg²) and vice versa; take the cheaper side.
-  const count_t cost_v1_side = wedge_work(g.csc());
-  const count_t cost_v2_side = wedge_work(g.csr());
+  const count_t cost_v1_side = detail::wedge_work(g.csc());
+  const count_t cost_v2_side = detail::wedge_work(g.csr());
   return cost_v1_side <= cost_v2_side ? wedge_reference_v1(g)
                                       : wedge_reference_v2(g);
 }

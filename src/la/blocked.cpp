@@ -4,10 +4,12 @@
 #include <bit>
 #include <vector>
 
+#include "chk/checked_math.hpp"
 #include "chk/validate.hpp"
 #include "chk/tsan_fence.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sparse/wedge_accumulator.hpp"
 
 namespace bfc::la {
 namespace {
@@ -19,13 +21,22 @@ constexpr vidx_t kMaxPanel = 64;
 
 struct PanelScratch {
   std::vector<std::uint64_t> member;  // vertex -> bitmask of panel lines
-  std::vector<count_t> t;             // per-panel-line overlap accumulator
-  std::vector<vidx_t> touched;
+  sparse::WedgeAccumulator t;         // per-panel-line overlap t_q
 
   explicit PanelScratch(vidx_t vertex_dim)
-      : member(static_cast<std::size_t>(vertex_dim), 0),
-        t(kMaxPanel, 0) {}
+      : member(static_cast<std::size_t>(vertex_dim), 0), t(kMaxPanel) {}
 };
+
+/// Adds Σ_q C(t_q, 2) to `total` and Σ_q t_q to `wedges`, leaving the panel
+/// accumulator all zero.
+void drain_panel(sparse::WedgeAccumulator& t, count_t& total,
+                 count_t& wedges) {
+  t.drain([&](vidx_t, count_t t_q) {
+    if constexpr (obs::kMetricsEnabled)
+      wedges = chk::checked_add(wedges, t_q);
+    total = chk::checked_add(total, chk::checked_choose2(t_q));
+  });
+}
 
 /// Counts butterflies of one panel [b0, b1) against peer lines [peer_lo,
 /// peer_hi) plus the pairs inside the panel itself.
@@ -49,48 +60,30 @@ count_t panel_update(const sparse::CsrPattern& lines, vidx_t b0, vidx_t b1,
   // (b) Panel x peer: ONE scan of the peer partition recovers t_{c,q} for
   // every panel line q simultaneously — the blocking payoff.
   for (vidx_t c = peer_lo; c < peer_hi; ++c) {
-    scratch.touched.clear();
     for (const vidx_t i : lines.row(c)) {
       std::uint64_t bits = scratch.member[static_cast<std::size_t>(i)];
       while (bits != 0) {
-        const int q = std::countr_zero(bits);
+        scratch.t.add(static_cast<vidx_t>(std::countr_zero(bits)));
         bits &= bits - 1;
-        if (scratch.t[static_cast<std::size_t>(q)] == 0)
-          scratch.touched.push_back(static_cast<vidx_t>(q));
-        ++scratch.t[static_cast<std::size_t>(q)];
       }
     }
-    for (const vidx_t q : scratch.touched) {
-      if constexpr (obs::kMetricsEnabled)
-        obs_wedges += scratch.t[static_cast<std::size_t>(q)];
-      total += choose2(scratch.t[static_cast<std::size_t>(q)]);
-      scratch.t[static_cast<std::size_t>(q)] = 0;
-    }
+    drain_panel(scratch.t, total, obs_wedges);
   }
 
   // (a) Pairs inside the panel: expand each line against the bitmask of
   // STRICTLY LATER panel lines so each pair is counted once.
   for (vidx_t p = b0; p < b1; ++p) {
     const vidx_t q1 = p - b0;
-    scratch.touched.clear();
     for (const vidx_t i : lines.row(p)) {
       // Keep only panel-mates with larger local index.
       std::uint64_t bits = scratch.member[static_cast<std::size_t>(i)] &
                            ~((q1 == 63) ? ~0ULL : ((2ULL << q1) - 1));
       while (bits != 0) {
-        const int q2 = std::countr_zero(bits);
+        scratch.t.add(static_cast<vidx_t>(std::countr_zero(bits)));
         bits &= bits - 1;
-        if (scratch.t[static_cast<std::size_t>(q2)] == 0)
-          scratch.touched.push_back(static_cast<vidx_t>(q2));
-        ++scratch.t[static_cast<std::size_t>(q2)];
       }
     }
-    for (const vidx_t q2 : scratch.touched) {
-      if constexpr (obs::kMetricsEnabled)
-        obs_wedges += scratch.t[static_cast<std::size_t>(q2)];
-      total += choose2(scratch.t[static_cast<std::size_t>(q2)]);
-      scratch.t[static_cast<std::size_t>(q2)] = 0;
-    }
+    drain_panel(scratch.t, total, obs_wedges);
   }
 
   // Clear membership for the next panel.
@@ -129,7 +122,8 @@ count_t count_blocked(const sparse::CsrPattern& lines, Direction direction,
     const vidx_t b1 = std::min<vidx_t>(b0 + b, n);
     const vidx_t peer_lo = peer == PeerSide::kBefore ? 0 : b1;
     const vidx_t peer_hi = peer == PeerSide::kBefore ? b0 : n;
-    total += panel_update(lines, b0, b1, peer_lo, peer_hi, scratch);
+    total = chk::checked_add(
+        total, panel_update(lines, b0, b1, peer_lo, peer_hi, scratch));
   }
   return total;
 }
@@ -157,7 +151,8 @@ count_t count_blocked_parallel(const sparse::CsrPattern& lines,
       const vidx_t b1 = std::min<vidx_t>(b0 + b, n);
       const vidx_t peer_lo = peer == PeerSide::kBefore ? 0 : b1;
       const vidx_t peer_hi = peer == PeerSide::kBefore ? b0 : n;
-      total += panel_update(lines, b0, b1, peer_lo, peer_hi, scratch);
+      total = chk::checked_add(
+          total, panel_update(lines, b0, b1, peer_lo, peer_hi, scratch));
     }
     fence.thread_done();
   }

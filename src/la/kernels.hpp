@@ -7,6 +7,12 @@
 // Each step evaluates the Fig. 6/7 update
 //   Ξ += ½·a₁ᵀ P Pᵀ a₁ − ½·Γ(a₁a₁ᵀ ∘ P Pᵀ)
 // for pivot line a₁ and peer partition P ∈ {A0, A2}.
+//
+// Each sequential kernel and its OpenMP version share one step body
+// (la/steps.hpp) and differ only in the loop over steps: unblocked_step for
+// count_unblocked(_parallel), wedge_step for count_wedge(_parallel) and
+// count_mismatched. wedge_step expands through sparse::WedgeAccumulator,
+// the wedge-expansion primitive every production counter shares.
 #pragma once
 
 #include "la/invariants.hpp"

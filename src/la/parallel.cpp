@@ -2,22 +2,10 @@
 
 #include "chk/validate.hpp"
 #include "chk/tsan_fence.hpp"
-#include "la/kernels.hpp"
-#include "la/partition.hpp"
-#include "obs/metrics.hpp"
+#include "la/steps.hpp"
 #include "obs/trace.hpp"
 
 namespace bfc::la {
-namespace {
-
-inline count_t line_overlap(const sparse::CsrPattern& lines, vidx_t c,
-                            const std::vector<std::uint8_t>& marked) {
-  count_t t = 0;
-  for (const vidx_t i : lines.row(c)) t += marked[static_cast<std::size_t>(i)];
-  return t;
-}
-
-}  // namespace
 
 count_t count_unblocked_parallel(const sparse::CsrPattern& lines,
                                  Direction direction, PeerSide peer,
@@ -38,58 +26,17 @@ count_t count_unblocked_parallel(const sparse::CsrPattern& lines,
     // One trace span and one work-histogram sample per thread per region,
     // so imbalance across the dynamic schedule is visible per track.
     obs::ScopedTrace thread_span("kernel.unblocked_parallel");
-    count_t my_lines = 0, my_wedges = 0, my_nnz = 0;
+    StepWork work;
 #pragma omp for schedule(dynamic, 16) reduction(+ : total)
-    for (std::int64_t s = 0; s < n_steps; ++s) {
-      const Step& step = steps[static_cast<std::size_t>(s)];
-      const auto pivot_line = lines.row(step.pivot);
-      // Zero-contribution pivots are skipped under both forms (see the
-      // sequential kernel).
-      if (pivot_line.size() < 2) continue;
-      for (const vidx_t i : pivot_line)
-        marked[static_cast<std::size_t>(i)] = 1;
-
-      // The contiguous peer range's entry count is one row_ptr difference;
-      // keep the degree lookup out of the O(p·nnz) loops (see unblocked.cpp).
-      if constexpr (obs::kMetricsEnabled) {
-        const auto& ptr = lines.row_ptr();
-        const offset_t range_nnz =
-            ptr[static_cast<std::size_t>(step.peer_hi)] -
-            ptr[static_cast<std::size_t>(step.peer_lo)];
-        my_nnz += (form == UpdateForm::kFused ? 1 : 2) * range_nnz;
-      }
-      if (form == UpdateForm::kFused) {
-        count_t step_sum = 0;
-        count_t step_wedges = 0;
-        for (vidx_t c = step.peer_lo; c < step.peer_hi; ++c) {
-          const count_t t = line_overlap(lines, c, marked);
-          step_sum += choose2(t);
-          if constexpr (obs::kMetricsEnabled) step_wedges += t;
-        }
-        total += step_sum;
-        if constexpr (obs::kMetricsEnabled) my_wedges += step_wedges;
-      } else {
-        count_t quad = 0;
-        for (vidx_t c = step.peer_lo; c < step.peer_hi; ++c) {
-          const count_t t = line_overlap(lines, c, marked);
-          quad += t * t;
-        }
-        count_t lin = 0;
-        for (vidx_t c = step.peer_lo; c < step.peer_hi; ++c)
-          lin += line_overlap(lines, c, marked);
-        total += (quad - lin) / 2;
-        if constexpr (obs::kMetricsEnabled) my_wedges += lin;
-      }
-
-      if constexpr (obs::kMetricsEnabled) ++my_lines;
-      for (const vidx_t i : pivot_line)
-        marked[static_cast<std::size_t>(i)] = 0;
-    }
+    for (std::int64_t s = 0; s < n_steps; ++s)
+      total = chk::checked_add(
+          total, unblocked_step(lines, steps[static_cast<std::size_t>(s)],
+                                form, marked, work));
     if constexpr (obs::kMetricsEnabled) {
-      BFC_COUNT_ADD("la.lines_processed", my_lines);
-      BFC_COUNT_ADD("la.wedges", my_wedges);
-      BFC_COUNT_ADD("la.nnz_scanned", my_nnz);
-      BFC_HIST_OBSERVE("la.thread_lines", my_lines);
+      BFC_COUNT_ADD("la.lines_processed", work.lines);
+      BFC_COUNT_ADD("la.wedges", work.wedges);
+      BFC_COUNT_ADD("la.nnz_scanned", work.nnz);
+      BFC_HIST_OBSERVE("la.thread_lines", work.lines);
     }
     fence.thread_done();
   }
@@ -105,41 +52,24 @@ count_t count_wedge_parallel(const sparse::CsrPattern& lines,
   if constexpr (chk::kCheckedEnabled) chk::validate_mirror(lines, lines_t);
   const auto steps = traversal_steps(lines.rows(), direction, peer);
   const auto n_steps = static_cast<std::int64_t>(steps.size());
-  const vidx_t n = lines.rows();
   count_t total = 0;
   chk::TsanOmpFence fence;
 
 #pragma omp parallel
   {
-    std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-    std::vector<vidx_t> touched;
+    sparse::WedgeAccumulator acc(lines.rows());
     obs::ScopedTrace thread_span("kernel.wedge_parallel");
-    count_t my_lines = 0, my_wedges = 0;
+    StepWork work;
 #pragma omp for schedule(dynamic, 64) reduction(+ : total)
     for (std::int64_t s = 0; s < n_steps; ++s) {
       const Step& step = steps[static_cast<std::size_t>(s)];
-      const auto pivot_line = lines.row(step.pivot);
-      if (pivot_line.size() < 2) continue;
-      touched.clear();
-      for (const vidx_t i : pivot_line) {
-        for (const vidx_t c : lines_t.row(i)) {
-          if (c < step.peer_lo || c >= step.peer_hi) continue;
-          if (acc[static_cast<std::size_t>(c)] == 0) touched.push_back(c);
-          ++acc[static_cast<std::size_t>(c)];
-        }
-      }
-      for (const vidx_t c : touched) {
-        if constexpr (obs::kMetricsEnabled)
-          my_wedges += acc[static_cast<std::size_t>(c)];
-        total += choose2(acc[static_cast<std::size_t>(c)]);
-        acc[static_cast<std::size_t>(c)] = 0;
-      }
-      if constexpr (obs::kMetricsEnabled) ++my_lines;
+      total = chk::checked_add(
+          total, wedge_step(lines.row(step.pivot), lines_t, step, acc, work));
     }
     if constexpr (obs::kMetricsEnabled) {
-      BFC_COUNT_ADD("la.lines_processed", my_lines);
-      BFC_COUNT_ADD("la.wedges", my_wedges);
-      BFC_HIST_OBSERVE("la.thread_lines", my_lines);
+      BFC_COUNT_ADD("la.lines_processed", work.lines);
+      BFC_COUNT_ADD("la.wedges", work.wedges);
+      BFC_HIST_OBSERVE("la.thread_lines", work.lines);
     }
     fence.thread_done();
   }

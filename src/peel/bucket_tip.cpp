@@ -4,6 +4,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "peel/decompose.hpp"
+#include "sparse/wedge_accumulator.hpp"
 
 namespace bfc::peel {
 
@@ -26,8 +27,7 @@ TipDecomposition tip_decomposition(const graph::BipartiteGraph& g, Side side) {
     heap.emplace(b[static_cast<std::size_t>(u)], u);
 
   std::vector<std::uint8_t> removed(static_cast<std::size_t>(n), 0);
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
+  sparse::WedgeAccumulator acc(n);
   count_t running_k = 0;
   // Bucket moves = re-pushed heap entries (the lazy-invalidation analogue of
   // moving a vertex between peel buckets); decrements = butterflies removed
@@ -49,25 +49,18 @@ TipDecomposition tip_decomposition(const graph::BipartiteGraph& g, Side side) {
     // Removing u deletes, for every surviving peer j, exactly the
     // butterflies whose two peeled-side vertices are {u, j}: C(w_uj, 2)
     // where w_uj counts their common neighbours.
-    touched.clear();
-    for (const vidx_t k : lines.row(u)) {
-      for (const vidx_t j : lines_t.row(k)) {
-        const auto ji = static_cast<std::size_t>(j);
-        if (j == u || removed[ji]) continue;
-        if (acc[ji] == 0) touched.push_back(j);
-        ++acc[ji];
-      }
-    }
-    for (const vidx_t j : touched) {
+    acc.expand(lines.row(u), lines_t, [&](vidx_t j) {
+      return j != u && !removed[static_cast<std::size_t>(j)];
+    });
+    acc.drain([&](vidx_t j, count_t w) {
       const auto ji = static_cast<std::size_t>(j);
       if constexpr (obs::kMetricsEnabled) {
-        obs_decrements += choose2(acc[ji]);
+        obs_decrements += choose2(w);
         ++obs_moves;
       }
-      b[ji] -= choose2(acc[ji]);
-      acc[ji] = 0;
+      b[ji] -= choose2(w);
       heap.emplace(b[ji], j);
-    }
+    });
   }
   if constexpr (obs::kMetricsEnabled) {
     BFC_COUNT_ADD("peel.vertices_peeled", n);

@@ -3,6 +3,7 @@
 #include "obs/trace.hpp"
 #include "peel/peeling.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/wedge_accumulator.hpp"
 
 namespace bfc::peel {
 namespace {
@@ -17,23 +18,15 @@ std::vector<count_t> tip_vector_lookahead(const sparse::CsrPattern& lines,
                                           const sparse::CsrPattern& lines_t) {
   const vidx_t n = lines.rows();
   std::vector<count_t> s(static_cast<std::size_t>(n), 0);
-  std::vector<count_t> acc(static_cast<std::size_t>(n), 0);
-  std::vector<vidx_t> touched;
+  sparse::WedgeAccumulator acc(n);
   for (vidx_t u = 0; u < n; ++u) {
-    touched.clear();
-    for (const vidx_t k : lines.row(u)) {
-      for (const vidx_t j : lines_t.row(k)) {
-        if (j <= u) continue;  // A2 partition only
-        if (acc[static_cast<std::size_t>(j)] == 0) touched.push_back(j);
-        ++acc[static_cast<std::size_t>(j)];
-      }
-    }
-    for (const vidx_t j : touched) {
-      const count_t pair_butterflies = choose2(acc[static_cast<std::size_t>(j)]);
+    // A2 partition only: peers j > u.
+    acc.expand(lines.row(u), lines_t, [u](vidx_t j) { return j > u; });
+    acc.drain([&](vidx_t j, count_t w) {
+      const count_t pair_butterflies = choose2(w);
       s[static_cast<std::size_t>(u)] += pair_butterflies;
       s[static_cast<std::size_t>(j)] += pair_butterflies;
-      acc[static_cast<std::size_t>(j)] = 0;
-    }
+    });
   }
   return s;
 }

@@ -45,7 +45,7 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
     obs::Span span(trace, "svc.scatter");
     span.tag("shards", static_cast<std::uint64_t>(shards));
     for (vidx_t v = 0; v < n2; ++v) {
-      cancel.checkpoint("shard::ScatterGather::compute");
+      cancel.checkpoint(v, "shard::ScatterGather::compute");
       int populated = 0;
       for (int k = 0; k < shards; ++k) {
         lists[static_cast<std::size_t>(k)] =
@@ -62,7 +62,7 @@ CrossAggregate ScatterGather::compute(const ShardView& view,
     }
     agg.tips_v2.assign(static_cast<std::size_t>(n2), 0);
     for (vidx_t v = 0; v < n2; ++v) {
-      cancel.checkpoint("shard::ScatterGather::compute");
+      cancel.checkpoint(v, "shard::ScatterGather::compute");
       int populated = 0;
       for (int k = 0; k < shards; ++k) {
         lists[static_cast<std::size_t>(k)] =

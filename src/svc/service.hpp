@@ -319,9 +319,8 @@ class ButterflyService {
   /// ladder as the shed/expiry fallback and as the way out when the pass
   /// gives up (deadline hit or shard leg lost); refused at admission,
   /// degrade on the caller's thread. No rung left: OverloadError. `exact`
-  /// gets the request's deadline — each kernel takes its own token from
-  /// it, as a token's strided clock checks count per kernel — and the
-  /// query's trace context. `ladder` may tag the span but never closes
+  /// gets the request's deadline — each kernel takes a token from it —
+  /// and the query's trace context. `ladder` may tag the span but never closes
   /// it; this tags the outcome and closes it.
   template <typename T, typename Exact, typename Ladder>
   std::future<QueryResult<T>> serve(const Deadline& deadline,

@@ -1,9 +1,12 @@
 // Cooperative cancellation for long-running kernels. A CancelToken carries
 // an optional wall-clock deadline; kernels that may scan millions of rows
-// call checkpoint() once per outer-loop row and abandon the pass with
-// CancelledError when the deadline has passed. The clock is only consulted
-// every 64th checkpoint, so the common (unarmed or not-yet-expired) path
-// costs one branch and one increment per row.
+// call checkpoint(row, where) once per outer-loop row and abandon the pass
+// with CancelledError when the deadline has passed. The clock is only
+// consulted on rows that are a multiple of 64, so the common (unarmed or
+// not-yet-expired) path costs one or two branches per row. The stride is
+// taken from the caller's row, not from state in the token: a token is
+// shared by every kernel of a request, and each kernel's row 0 checks the
+// clock.
 //
 // This lives in util/ rather than svc/ because the counting kernels
 // (count::butterflies_per_v1, count::support_per_edge) take the token
@@ -46,19 +49,17 @@ class CancelToken {
     return armed_ && Clock::now() >= at_;
   }
 
-  /// Row-granularity cancellation point: cheap when unarmed, consults the
-  /// clock on the first call and then every 64th, throws CancelledError
-  /// (naming `where`) once the deadline has passed.
-  void checkpoint(const char* where) const {
-    if (!armed_) return;
-    if ((ticks_++ & 63u) != 0) return;
+  /// Row-granularity cancellation point for outer-loop row `row` (≥ 0):
+  /// cheap when unarmed, consults the clock when row % 64 == 0, throws
+  /// CancelledError (naming `where`) once the deadline has passed.
+  void checkpoint(std::int64_t row, const char* where) const {
+    if (!armed_ || row % 64 != 0) return;
     if (Clock::now() >= at_) throw CancelledError(where);
   }
 
  private:
   Clock::time_point at_{};
   bool armed_ = false;
-  mutable std::uint32_t ticks_ = 0;
 };
 
 }  // namespace bfc

@@ -388,14 +388,25 @@ TEST(ExecutorRobustness, DestructionAbandonsQueuedTasks) {
 
 TEST(CancelRobustness, ExpiredTokenAbortsEveryKernel) {
   const graph::BipartiteGraph g = testing::random_graph(60, 50, 0.15, 7);
-  // One fresh token per kernel, as in production (tokens are per-request):
-  // the clock check is strided on the token's own tick counter.
   const auto expired = [] {
     return CancelToken(CancelToken::Clock::now() - std::chrono::seconds(1));
   };
   EXPECT_THROW((void)count::butterflies_per_v1(g, expired()), CancelledError);
   EXPECT_THROW((void)count::butterflies_per_v2(g, expired()), CancelledError);
   EXPECT_THROW((void)count::support_per_edge(g, expired()), CancelledError);
+}
+
+TEST(CancelRobustness, SharedTokenChecksTheClockInEveryKernel) {
+  // One request's token goes through several kernels. A 3-row pass never
+  // reaches row 64, so only a stride taken from the kernel's own row (not
+  // from a tick count kept in the token) checks the clock in the second one.
+  const graph::BipartiteGraph g = testing::complete_bipartite(3, 3);
+  const CancelToken token(CancelToken::Clock::now() +
+                          std::chrono::milliseconds(50));
+  EXPECT_EQ(count::butterflies_per_v1(g, token),
+            std::vector<count_t>(3, 6));
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_THROW((void)count::support_per_edge(g, token), CancelledError);
 }
 
 TEST(CancelRobustness, UnarmedTokenChangesNothing) {

@@ -333,7 +333,7 @@ void rule_cancellation_checkpoint(const SourceFile& f, const RuleContext&,
       emit(f, "cancellation-checkpoint", t[j],
            "kernel accepts CancelToken '" + param +
                "' but the body never checkpoints or forwards it; call " +
-               param + ".checkpoint(\"where\") inside the long loop",
+               param + ".checkpoint(row, \"where\") inside the long loop",
            out);
     }
   }
