@@ -8,7 +8,7 @@
 // The functions are always compiled (corruption-injection tests call them
 // directly in every build lane); the BFC_VALIDATE macro gates the call
 // sites wired into the hot mutation seams — loader/generator returns,
-// DynamicButterflyCounter batches, SnapshotStore publishes, la/ kernel
+// DynamicButterflyCounter batches, LocalShard publishes, la/ kernel
 // entry — so a release build pays nothing.
 #pragma once
 

@@ -4,19 +4,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "chk/checked_math.hpp"
-#include "obs/metrics.hpp"
-#include "shard/router.hpp"
 #include "util/crc32.hpp"
 
 namespace bfc::shard {
 namespace {
 
 // Manifest envelope for multi-shard checkpoints: the per-shard files are
-// ordinary legacy-format SnapshotStore files (each individually CRC'd and
+// ordinary BFCSNP01 LocalShard checkpoints (each individually CRC'd and
 // recount-verified on restore); the manifest only binds the set together —
 // how many shards, over which dimensions.
 constexpr std::array<char, 8> kManifestMagic = {'B', 'F', 'C', 'S',
@@ -31,6 +29,34 @@ static_assert(sizeof(ManifestMeta) == 12, "manifest meta must pack to 12B");
 
 std::string shard_file(const std::string& path, int k) {
   return path + ".shard" + std::to_string(k);
+}
+
+/// Reads and checks the BFCSHD01 manifest at `path` against the store's
+/// layout: `shards` over n1 x n2.
+void read_manifest(const std::string& path, int shards, vidx_t n1,
+                   vidx_t n2) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open shard manifest: " + path);
+  std::array<char, 8> magic{};
+  in.read(magic.data(), magic.size());
+  if (static_cast<std::size_t>(in.gcount()) != magic.size() ||
+      std::memcmp(magic.data(), kManifestMagic.data(),
+                  kManifestMagic.size()) != 0)
+    throw std::runtime_error("shard manifest " + path + ": bad magic");
+  std::uint32_t crc = 0;
+  in.read(reinterpret_cast<char*>(&crc), sizeof crc);
+  ManifestMeta meta{};
+  in.read(reinterpret_cast<char*>(&meta), sizeof meta);
+  if (!in) throw std::runtime_error("shard manifest " + path + ": truncated");
+  if (crc32(&meta, sizeof meta) != crc)
+    throw std::runtime_error("shard manifest " + path + ": meta CRC mismatch");
+  if (meta.shards != shards || meta.n1 != n1 || meta.n2 != n2)
+    throw std::runtime_error(
+        "shard manifest " + path + ": layout mismatch (file has " +
+        std::to_string(meta.shards) + " shards over " +
+        std::to_string(meta.n1) + "x" + std::to_string(meta.n2) +
+        ", store has " + std::to_string(shards) + " over " +
+        std::to_string(n1) + "x" + std::to_string(n2) + ")");
 }
 
 }  // namespace
@@ -48,46 +74,7 @@ ShardedSnapshotStore::ShardedSnapshotStore(vidx_t n1, vidx_t n2, int shards)
   for (int k = 0; k < shards; ++k)
     map->shards.push_back(
         std::make_shared<LocalShard>(k, n1, n2, part_.begin(k), part_.end(k)));
-  map_store(std::move(map));
-}
-
-ShardedSnapshotStore::ShardMapPtr ShardedSnapshotStore::map_load() const {
-#if defined(__SANITIZE_THREAD__)
-  const MutexLock lock(map_mu_);
-  return map_;
-#else
-  // acquire: pairs with the release in map_store so a loaded map's handles
-  // are fully constructed (mirrors SnapshotStore::head_load).
-  return map_.load(std::memory_order_acquire);
-#endif
-}
-
-void ShardedSnapshotStore::map_store(ShardMapPtr map) {
-#if defined(__SANITIZE_THREAD__)
-  const MutexLock lock(map_mu_);
-  map_ = std::move(map);
-#else
-  // release: publishes the fully built map (see map_load).
-  map_.store(std::move(map), std::memory_order_release);
-#endif
-}
-
-svc::PublishResult ShardedSnapshotStore::apply_batch(
-    std::span<const svc::EdgeUpdate> batch) {
-  const std::vector<std::vector<svc::EdgeUpdate>> buckets =
-      ShardRouter(part_).bucket(batch);
-  svc::PublishResult total;
-  for (int k = 0; k < shard_count(); ++k) {
-    const auto& bucket = buckets[static_cast<std::size_t>(k)];
-    if (bucket.empty()) continue;
-    const svc::PublishResult r = apply_to_shard(k, bucket);
-    total.applied += r.applied;
-    total.ignored += r.ignored;
-    total.created = chk::checked_add(total.created, r.created);
-    total.destroyed = chk::checked_add(total.destroyed, r.destroyed);
-  }
-  total.epoch = version();
-  return total;
+  map_.store_release(std::move(map));
 }
 
 svc::PublishResult ShardedSnapshotStore::apply_to_shard(
@@ -96,16 +83,12 @@ svc::PublishResult ShardedSnapshotStore::apply_to_shard(
           "ShardedSnapshotStore: shard index out of range");
   // No store-wide lock: the shard serialises its own publishes, and writers
   // on different shards proceed fully in parallel.
-  const ShardMapPtr map = map_load();
-  svc::PublishResult result = map->shards[static_cast<std::size_t>(k)]->apply(
+  return map_.load_acquire()->shards[static_cast<std::size_t>(k)]->apply(
       batch);
-  // relaxed: version() is a monotone freshness scalar (see header).
-  version_.fetch_add(1, std::memory_order_relaxed);
-  return result;
 }
 
 ShardViewPtr ShardedSnapshotStore::view() const {
-  const ShardMapPtr map = map_load();
+  const ShardMapPtr map = map_.load_acquire();
   std::vector<svc::SnapshotPtr> pinned;
   pinned.reserve(map->shards.size());
   std::uint64_t stale_mask = 0;
@@ -125,11 +108,11 @@ ShardViewPtr ShardedSnapshotStore::view() const {
 svc::SnapshotPtr ShardedSnapshotStore::shard_snapshot(int k) const {
   require(0 <= k && k < shard_count(),
           "ShardedSnapshotStore: shard index out of range");
-  return map_load()->shards[static_cast<std::size_t>(k)]->pin();
+  return map_.load_acquire()->shards[static_cast<std::size_t>(k)]->pin();
 }
 
 std::uint64_t ShardedSnapshotStore::epoch() const {
-  const ShardMapPtr map = map_load();
+  const ShardMapPtr map = map_.load_acquire();
   std::uint64_t m = 0;
   for (const ShardHandlePtr& h : map->shards) m = std::max(m, h->epoch());
   return m;
@@ -138,7 +121,7 @@ std::uint64_t ShardedSnapshotStore::epoch() const {
 ShardHandlePtr ShardedSnapshotStore::shard(int k) const {
   require(0 <= k && k < shard_count(),
           "ShardedSnapshotStore: shard index out of range");
-  return map_load()->shards[static_cast<std::size_t>(k)];
+  return map_.load_acquire()->shards[static_cast<std::size_t>(k)];
 }
 
 void ShardedSnapshotStore::swap_shard(int k, ShardHandlePtr handle) {
@@ -149,25 +132,16 @@ void ShardedSnapshotStore::swap_shard(int k, ShardHandlePtr handle) {
               handle->range_end() == part_.end(k),
           "ShardedSnapshotStore: replacement shard id/range mismatch");
   const MutexLock lock(swap_mu_);
-  auto next = std::make_shared<ShardMap>(*map_load());
+  auto next = std::make_shared<ShardMap>(*map_.load_acquire());
   next->shards[static_cast<std::size_t>(k)] = std::move(handle);
-  map_store(std::move(next));
-}
-
-const svc::SnapshotStore* ShardedSnapshotStore::local_store(int k) const {
-  require(0 <= k && k < shard_count(),
-          "ShardedSnapshotStore: shard index out of range");
-  const ShardMapPtr map = map_load();
-  const auto* local = dynamic_cast<const LocalShard*>(
-      map->shards[static_cast<std::size_t>(k)].get());
-  return local != nullptr ? &local->store() : nullptr;
+  map_.store_release(std::move(next));
 }
 
 void ShardedSnapshotStore::persist(const std::string& path) const {
-  const ShardMapPtr map = map_load();
+  const ShardMapPtr map = map_.load_acquire();
   if (shard_count() == 1) {
-    // Drop-in legacy format: a 1-shard store's checkpoint is exactly a
-    // SnapshotStore checkpoint.
+    // Drop-in legacy format: a 1-shard store's checkpoint is exactly its
+    // one shard's checkpoint.
     map->shards[0]->persist(path);
     return;
   }
@@ -195,71 +169,51 @@ void ShardedSnapshotStore::persist(const std::string& path) const {
     throw std::runtime_error("cannot publish shard manifest (rename " + tmp +
                              " -> " + path + " failed)");
   }
-  BFC_COUNT_ADD("svc.snapshots_persisted", 1);
 }
 
 void ShardedSnapshotStore::restore(const std::string& path) {
-  if (shard_count() == 1) {
-    // Restore into a FRESH full-range shard and only then swap the map, so
-    // a corrupt file leaves this store untouched — and so the restored
-    // dimensions (which a legacy checkpoint is free to change) rebuild the
-    // partition instead of fighting it. The layout rewrite below leans on
-    // restore()'s documented full exclusivity: no concurrent writers AND no
-    // concurrent partition()/ShardRouter readers (see header).
-    auto reborn =
-        std::make_shared<LocalShard>(0, n1(), n2(), vidx_t{0}, n1());
-    reborn->restore(path);  // throws on any corruption, nothing changed yet
-    const svc::SnapshotPtr snap = reborn->pin();
-    const MutexLock lock(swap_mu_);
-    part_ = RangePartition(snap->graph.n1(), 1);
-    n1_.store(snap->graph.n1(), std::memory_order_relaxed);  // see n1()
-    n2_.store(snap->graph.n2(), std::memory_order_relaxed);
-    auto next = std::make_shared<ShardMap>();
-    next->shards.push_back(std::move(reborn));
-    map_store(std::move(next));
-    version_.fetch_add(1, std::memory_order_relaxed);  // relaxed: see header
-    return;
+  const int n = shard_count();
+  // 1. The layout. N = 1: the single file's own dimensions, which win (a
+  //    legacy file is free to change them), so that file is read here,
+  //    once. N > 1: the manifest's, which must match this store's.
+  std::optional<Checkpoint> single;
+  vidx_t n1 = this->n1();
+  vidx_t n2 = this->n2();
+  if (n == 1) {
+    single = read_checkpoint(path);
+    n1 = single->snap->graph.n1();
+    n2 = single->snap->graph.n2();
+  } else {
+    read_manifest(path, n, n1, n2);
   }
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open shard manifest: " + path);
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  if (static_cast<std::size_t>(in.gcount()) != magic.size() ||
-      std::memcmp(magic.data(), kManifestMagic.data(),
-                  kManifestMagic.size()) != 0)
-    throw std::runtime_error("shard manifest " + path + ": bad magic");
-  std::uint32_t crc = 0;
-  in.read(reinterpret_cast<char*>(&crc), sizeof crc);
-  ManifestMeta meta{};
-  in.read(reinterpret_cast<char*>(&meta), sizeof meta);
-  if (!in) throw std::runtime_error("shard manifest " + path + ": truncated");
-  if (crc32(&meta, sizeof meta) != crc)
-    throw std::runtime_error("shard manifest " + path + ": meta CRC mismatch");
-  if (meta.shards != shard_count() || meta.n1 != n1() || meta.n2 != n2())
-    throw std::runtime_error(
-        "shard manifest " + path + ": layout mismatch (file has " +
-        std::to_string(meta.shards) + " shards over " +
-        std::to_string(meta.n1) + "x" + std::to_string(meta.n2) +
-        ", store has " + std::to_string(shard_count()) + " over " +
-        std::to_string(n1()) + "x" + std::to_string(n2()) + ")");
-
-  // Restore every shard into a fresh LocalShard before touching the live
-  // map: the swap happens only after all N files validated, so a torn or
-  // corrupt shard file cannot leave the store half-restored.
+  // 2. Restore every shard into a fresh LocalShard built for that layout;
+  //    each shard's file must match its (n1, n2). Nothing live changes
+  //    until all N files validated, so a torn, corrupt or foreign shard
+  //    file cannot leave the store half-restored.
+  const RangePartition part(n1, n);
   auto next = std::make_shared<ShardMap>();
-  next->shards.reserve(static_cast<std::size_t>(shard_count()));
-  for (int k = 0; k < shard_count(); ++k) {
-    auto reborn = std::make_shared<LocalShard>(k, n1(), n2(), part_.begin(k),
-                                               part_.end(k));
-    reborn->restore(shard_file(path, k));
+  next->shards.reserve(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    auto reborn =
+        std::make_shared<LocalShard>(k, n1, n2, part.begin(k), part.end(k));
+    if (single)
+      reborn->restore(std::move(*single), path);
+    else
+      reborn->restore(shard_file(path, k));
     next->shards.push_back(std::move(reborn));
   }
+
+  // 3. Swap the map once. The layout is rewritten only when it changed,
+  //    which only an N = 1 restore can do (see the header's exclusivity
+  //    contract).
   const MutexLock lock(swap_mu_);
-  map_store(std::move(next));
-  version_.fetch_add(static_cast<std::uint64_t>(shard_count()),
-                     std::memory_order_relaxed);  // relaxed: see header
-  BFC_COUNT_ADD("svc.snapshots_restored", 1);
+  if (n1 != this->n1() || n2 != this->n2()) {
+    part_ = part;
+    n1_.store(n1, std::memory_order_relaxed);  // relaxed: see n1()
+    n2_.store(n2, std::memory_order_relaxed);
+  }
+  map_.store_release(std::move(next));
 }
 
 }  // namespace bfc::shard

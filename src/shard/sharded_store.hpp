@@ -1,22 +1,21 @@
-// N independently-published shards behind one store facade. The v1 side is
-// range-partitioned (shard/partition.hpp); each shard is a ShardHandle —
-// in-process today (LocalShard), possibly remote tomorrow — publishing its
+// N >= 1 shards behind one store facade. The v1 side is range-partitioned
+// (shard/partition.hpp); each shard is a ShardHandle — a LocalShard, the
+// one snapshot store, or a RemoteShard in another process — publishing its
 // own epoch sequence with no synchronisation against the other shards.
 // That independence is the whole point: writers whose batches touch
 // disjoint vertex ranges call apply_to_shard() concurrently and their
-// publishes overlap in time, where the single SnapshotStore serialised
-// every batch on one writer mutex.
+// publishes overlap in time. A single store is the N = 1 case.
 //
 // Readers pin a ShardView: one snapshot per shard plus a signature over
 // the per-shard epochs. There is deliberately no cross-shard atomic cut —
-// see view.hpp for the consistency contract.
+// see view.hpp for the consistency contract. The view's version (Σ of the
+// shard epochs) is the one "after this publish" scalar.
 //
-// Checkpointing follows the same fuzziness: with one shard, persist() and
-// restore() speak the exact legacy SnapshotStore format (a 1-shard store
-// is drop-in compatible with files written before sharding existed); with
-// N > 1 shards, persist() writes one legacy-format file per shard plus a
-// small CRC-checked manifest binding them together, and restore() demands
-// a manifest whose shard count and dimensions match this store's layout.
+// Checkpointing follows the same fuzziness. With one shard, the checkpoint
+// is that shard's BFCSNP01 file (so a 1-shard store is drop-in compatible
+// with files written before sharding existed); with N > 1 shards, it is one
+// BFCSNP01 file per shard plus a small CRC-checked BFCSHD01 manifest
+// binding them together.
 #pragma once
 
 #include <atomic>
@@ -30,7 +29,6 @@
 #include "shard/shard.hpp"
 #include "shard/view.hpp"
 #include "svc/snapshot.hpp"
-#include "svc/snapshot_store.hpp"
 #include "util/common.hpp"
 #include "util/sync.hpp"
 
@@ -44,17 +42,6 @@ class ShardedSnapshotStore {
   ShardedSnapshotStore(vidx_t n1, vidx_t n2, int shards);
 
   // ---- writer side -------------------------------------------------------
-
-  /// Routes a mixed batch by V1 owner and applies one sub-batch per touched
-  /// shard, in ascending shard order, preserving the batch's relative
-  /// update order within each shard. Returns the summed PublishResult with
-  /// `epoch` carrying the store's global version() after the last publish
-  /// (per-shard epochs are per-shard; the global version is the only
-  /// scalar that means "after this batch" across shards).
-  svc::PublishResult apply_batch(std::span<const svc::EdgeUpdate> batch);
-  svc::PublishResult apply_batch(std::initializer_list<svc::EdgeUpdate> b) {
-    return apply_batch(std::span<const svc::EdgeUpdate>(b.begin(), b.end()));
-  }
 
   /// Applies a batch known to be wholly owned by shard k (the shard itself
   /// enforces ownership). This is the concurrent-writer entry point: no
@@ -77,45 +64,42 @@ class ShardedSnapshotStore {
   /// Pins one shard's latest snapshot.
   [[nodiscard]] svc::SnapshotPtr shard_snapshot(int k) const;
 
-  /// Max per-shard epoch — NOT a global ordering across shards; use
-  /// version() for that.
+  /// Max per-shard epoch — NOT a global ordering across shards; a pinned
+  /// view's version is.
   [[nodiscard]] std::uint64_t epoch() const;
-
-  /// Global monotone publish counter: incremented once per shard publish,
-  /// in publish order as the shards' own epoch sequences interleave. A
-  /// pinned view's version is instead the Σ of its shard epochs; the two
-  /// agree until a restore or swap_shard rewinds a shard's epoch sequence.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    // relaxed: a monotone freshness scalar; nothing is ordered against it.
-    return version_.load(std::memory_order_relaxed);
-  }
 
   // ---- checkpointing ----------------------------------------------------
 
   void persist(const std::string& path) const;
-  /// Warm-start from a checkpoint. Like SnapshotStore::restore this demands
-  /// writer exclusivity — and, in the single-shard case, reader exclusivity
-  /// for the LAYOUT accessors too: a legacy checkpoint may change the
-  /// dimensions, so restore() rebuilds part_ and rewrites n1_/n2_, and a
-  /// concurrent partition()/ShardRouter user would race on the rebuild.
-  /// n1()/n2() stay individually tear-free (atomic, SnapshotStore idiom)
-  /// but readers needing dimensions coherent with a graph must take them
-  /// from a pinned view, never from here across a restore.
+  /// Warm-start from a checkpoint, in one path for every N: read the
+  /// layout (the manifest's for N > 1, which must match this store's; the
+  /// single file's own dimensions for N = 1, which win — a legacy file is
+  /// free to change them), restore every shard into a fresh LocalShard
+  /// built for that layout (each file must match its (n1, n2)), then swap
+  /// the map once. Throws std::runtime_error on any bad file, leaving the
+  /// store untouched. Demands writer exclusivity and, for N = 1, reader
+  /// exclusivity of the LAYOUT accessors too: a new layout rebuilds part_
+  /// and rewrites n1_/n2_, and a concurrent partition()/ShardRouter user
+  /// would race on the rebuild. n1()/n2() stay individually tear-free, but
+  /// readers needing dimensions coherent with a graph take them from a
+  /// pinned view, never from here across a restore.
   void restore(const std::string& path);
 
   // ---- layout ------------------------------------------------------------
 
   [[nodiscard]] int shard_count() const noexcept { return part_.shards(); }
   /// The live partition, lock-free. Must not be called concurrently with a
-  /// single-shard restore(), which may rebuild it — see restore().
+  /// restore() that changes the layout — see restore().
   [[nodiscard]] const RangePartition& partition() const noexcept {
     return part_;
   }
   [[nodiscard]] vidx_t n1() const noexcept {
-    return n1_.load(std::memory_order_relaxed);  // see SnapshotStore::n1()
+    // relaxed: an independent scalar, rewritten only by restore() (see
+    // there); nothing is ordered against it.
+    return n1_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] vidx_t n2() const noexcept {
-    return n2_.load(std::memory_order_relaxed);
+    return n2_.load(std::memory_order_relaxed);  // see n1()
   }
 
   /// The shard handle in slot k (never null).
@@ -126,34 +110,19 @@ class ShardedSnapshotStore {
   /// id and owned range must match the slot.
   void swap_shard(int k, ShardHandlePtr handle);
 
-  /// Shard k's backing SnapshotStore when it is a LocalShard, else null.
-  /// The service's store() introspection reads slot 0 through it.
-  [[nodiscard]] const svc::SnapshotStore* local_store(int k) const;
-
  private:
   struct ShardMap {
     std::vector<ShardHandlePtr> shards;
   };
   using ShardMapPtr = std::shared_ptr<const ShardMap>;
 
-  [[nodiscard]] ShardMapPtr map_load() const;
-  void map_store(ShardMapPtr map);
-
-  // Rebuilt only by single-shard restore(), which the contract makes fully
-  // exclusive (no concurrent partition() readers) — see restore().
+  // Rebuilt only by a restore() that changes the layout, which the
+  // contract makes fully exclusive — see restore().
   RangePartition part_;
   std::atomic<vidx_t> n1_;
   std::atomic<vidx_t> n2_;
-  std::atomic<std::uint64_t> version_{0};
   mutable Mutex swap_mu_{"shard.store.swap"};  // restore/swap_shard
-#if defined(__SANITIZE_THREAD__)
-  // Same TSan accommodation as SnapshotStore::head_: libstdc++'s
-  // atomic<shared_ptr> spin lock is invisible to TSan.
-  mutable Mutex map_mu_{"shard.store.map"};
-  ShardMapPtr map_ BFC_GUARDED_BY(map_mu_);
-#else
-  std::atomic<ShardMapPtr> map_;
-#endif
+  PublishedPtr<const ShardMap> map_{"shard.store.map"};
 };
 
 }  // namespace bfc::shard

@@ -33,7 +33,6 @@
 
 #include "count/top_pairs.hpp"
 #include "svc/snapshot.hpp"
-#include "svc/snapshot_store.hpp"
 #include "util/common.hpp"
 
 namespace bfc::shard {

@@ -6,7 +6,7 @@
 //
 //   kQueueSaturation  Executor::admit treats the admission queue as full
 //   kSlowKernel       the service's tip pass sleeps param() milliseconds
-//   kPersistTruncate  SnapshotStore::persist publishes a torn file
+//   kPersistTruncate  LocalShard::persist publishes a torn file
 //                     (truncated to param() bytes, or half when 0)
 //   kPersistCorrupt   persist flips one bit (byte index param()) before
 //                     publishing

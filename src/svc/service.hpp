@@ -80,7 +80,8 @@
 // the Request's TraceContext — with child spans for the queue wait
 // (svc.queue, recorded by the Executor), the coalesced kernel pass
 // (svc.kernel.tip_v1/v2) and, with N > 1 shards, the cross pass
-// (svc.scatter / svc.gather) and per-shard publishes (svc.shard.publish).
+// (svc.scatter / svc.gather); every publish, at any shard count, roots
+// its own svc.shard.publish span.
 // Tags record the decisions: cache=hit|miss, outcome=exact|stale|approx|shed,
 // rejected/cancelled flags, and the rung the degrade ladder stopped at.
 // SLO accounting (svc/slo.hpp) rides the same latency stream:
@@ -109,7 +110,7 @@
 #include "svc/request.hpp"
 #include "svc/result_cache.hpp"
 #include "svc/slo.hpp"
-#include "svc/snapshot_store.hpp"
+#include "svc/snapshot.hpp"
 #include "util/common.hpp"
 
 namespace bfc::obs {
@@ -178,7 +179,7 @@ class ButterflyService {
   }
 
   /// Crash-safe checkpoint of the latest published epoch(s)
-  /// (write-then-rename via SnapshotStore::persist; one file with a single
+  /// (write-then-rename via LocalShard::persist; one file with a single
   /// shard — the exact legacy format — or per-shard files plus a manifest).
   /// Never blocks readers or writers. A persist failure triggers a
   /// flight-recorder dump before rethrowing.
@@ -247,18 +248,7 @@ class ButterflyService {
 
   // ---- introspection -----------------------------------------------------
 
-  /// Shard 0's backing store — with one shard, the store of the whole
-  /// graph (same epochs, same snapshots). Throws std::invalid_argument if
-  /// slot 0 was swapped to a non-local handle (swap_shard); use
-  /// shard_store() for those layouts.
-  [[nodiscard]] const SnapshotStore& store() const {
-    const SnapshotStore* local = store_.local_store(0);
-    require(local != nullptr,
-            "ButterflyService::store: shard 0 is not a LocalShard (swapped "
-            "handle) — use shard_store()");
-    return *local;
-  }
-  /// The sharded store facade (layout, per-shard handles, global version).
+  /// The sharded store facade (layout, per-shard handles).
   [[nodiscard]] const shard::ShardedSnapshotStore& shard_store()
       const noexcept {
     return store_;

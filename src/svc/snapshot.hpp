@@ -40,4 +40,13 @@ struct GraphSnapshot {
 /// last pinning reader releases it.
 using SnapshotPtr = std::shared_ptr<const GraphSnapshot>;
 
+/// Outcome of one publish: a batch applied to one store.
+struct PublishResult {
+  std::uint64_t epoch = 0;     // epoch of the snapshot just published
+  offset_t applied = 0;        // updates that changed the graph
+  offset_t ignored = 0;        // duplicate inserts / missing removes
+  count_t created = 0;         // butterflies created by this batch
+  count_t destroyed = 0;       // butterflies destroyed by this batch
+};
+
 }  // namespace bfc::svc

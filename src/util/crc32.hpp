@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over raw bytes —
 // the per-section integrity checksum of the binary snapshot format
-// (graph/io_binary, svc/SnapshotStore::persist). Table-driven, header-only,
+// (graph/io_binary, shard::LocalShard::persist). Table-driven, header-only,
 // with a constexpr-built table so the checksum costs one XOR + lookup per
 // byte and nothing at startup.
 #pragma once

@@ -22,9 +22,12 @@
 // `bfc-lint: raw-sync-ok` allowance.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>  // bfc-lint: raw-sync-ok (wrapper internals)
+#include <memory>
 #include <mutex>               // bfc-lint: raw-sync-ok (wrapper internals)
 #include <shared_mutex>        // bfc-lint: raw-sync-ok (wrapper internals)
+#include <utility>
 
 #include "chk/check.hpp"
 #include "chk/lockorder.hpp"
@@ -280,6 +283,57 @@ class CondVar {
   // BasicLockable, so the sleep releases/reacquires through bfc::Mutex's
   // own lock()/unlock() and the lock-order hooks keep firing.
   std::condition_variable_any cv_;  // bfc-lint: raw-sync-ok (wrapper itself)
+};
+
+/// A shared_ptr slot that one writer replaces while readers load it without
+/// ever blocking the writer: the publish/pin point of the snapshot stores.
+/// The production build is an atomic<shared_ptr>, where a release store
+/// publishes a fully constructed object and an acquire load sees all of it.
+/// Under TSan only, the slot is a mutex-guarded shared_ptr instead:
+/// libstdc++'s atomic<shared_ptr> embeds a spin lock in the control word
+/// that TSan cannot see through, so it would report every store/load pair
+/// as a data race. `site` names that mutex for the lock-order checker.
+template <typename T>
+class PublishedPtr {
+ public:
+  explicit PublishedPtr([[maybe_unused]] const char* site) noexcept
+#if defined(__SANITIZE_THREAD__)
+      : mu_(site)
+#endif
+  {
+  }
+
+  PublishedPtr(const PublishedPtr&) = delete;
+  PublishedPtr& operator=(const PublishedPtr&) = delete;
+
+  [[nodiscard]] std::shared_ptr<T> load_acquire() const {
+#if defined(__SANITIZE_THREAD__)
+    const MutexLock lock(mu_);
+    return ptr_;
+#else
+    // acquire: pairs with store_release() so the loaded object's
+    // contents are fully visible to the reader.
+    return ptr_.load(std::memory_order_acquire);
+#endif
+  }
+
+  void store_release(std::shared_ptr<T> next) {
+#if defined(__SANITIZE_THREAD__)
+    const MutexLock lock(mu_);
+    ptr_ = std::move(next);
+#else
+    // release: publishes the fully constructed object (see load_acquire()).
+    ptr_.store(std::move(next), std::memory_order_release);
+#endif
+  }
+
+ private:
+#if defined(__SANITIZE_THREAD__)
+  mutable Mutex mu_;
+  std::shared_ptr<T> ptr_ BFC_GUARDED_BY(mu_);
+#else
+  std::atomic<std::shared_ptr<T>> ptr_;
+#endif
 };
 
 }  // namespace bfc

@@ -15,8 +15,8 @@
 #include "chk/check.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "obs/spans.hpp"
+#include "shard/shard.hpp"
 #include "sparse/csr.hpp"
-#include "svc/snapshot_store.hpp"
 #include "util/common.hpp"
 
 namespace {
@@ -141,36 +141,36 @@ TEST(AllocFree, InertSpanTagsAllocateNothing) {
 
 /// Loads `per_row` edges onto every V1 vertex of a 200 x 200 store,
 /// including the diagonal edge (u, u) that publish_allocations cycles.
-void load(svc::SnapshotStore& store, vidx_t per_row) {
+void load(shard::LocalShard& store, vidx_t per_row) {
   std::vector<svc::EdgeUpdate> batch;
   for (vidx_t u = 0; u < 200; ++u)
     for (vidx_t k = 0; k < per_row; ++k)
       batch.push_back(svc::EdgeUpdate::add(u, (u + k * 3) % 200));
-  (void)store.apply_batch(batch);
+  (void)store.apply(batch);
 }
 
 /// Allocations of one publish that deletes and re-adds 20 present edges.
 /// Removal keeps each adjacency vector's capacity, so the re-adds never
 /// reallocate and the count isolates the snapshot materialisation.
-std::int64_t publish_allocations(svc::SnapshotStore& store) {
+std::int64_t publish_allocations(shard::LocalShard& store) {
   std::vector<svc::EdgeUpdate> batch;
   for (vidx_t u = 0; u < 20; ++u) batch.push_back(svc::EdgeUpdate::del(u, u));
   for (vidx_t u = 0; u < 20; ++u) batch.push_back(svc::EdgeUpdate::add(u, u));
-  (void)store.apply_batch(batch);  // warm: metrics, first-touch capacity
+  (void)store.apply(batch);  // warm: metrics, first-touch capacity
   svc::PublishResult r;
   const std::int64_t n =
-      allocations_during([&] { r = store.apply_batch(batch); });
+      allocations_during([&] { r = store.apply(batch); });
   EXPECT_EQ(r.applied, 40);
   return n;
 }
 
 TEST(AllocFree, PublishAllocationsDoNotScaleWithEdgeCount) {
-  svc::SnapshotStore small(200, 200);
-  svc::SnapshotStore large(200, 200);
+  shard::LocalShard small(0, 200, 200, 0, 200);
+  shard::LocalShard large(0, 200, 200, 0, 200);
   load(small, 5);   // 1k edges
   load(large, 50);  // 10k edges
-  ASSERT_EQ(small.current()->edges, 1000);
-  ASSERT_EQ(large.current()->edges, 10000);
+  ASSERT_EQ(small.pin()->edges, 1000);
+  ASSERT_EQ(large.pin()->edges, 10000);
   EXPECT_EQ(publish_allocations(small), publish_allocations(large));
 }
 

@@ -25,11 +25,11 @@
 #include "graph/io_binary.hpp"
 #include "graph/io_edgelist.hpp"
 #include "graph/io_mtx.hpp"
+#include "shard/sharded_store.hpp"
 #include "svc/executor.hpp"
 #include "svc/fault.hpp"
 #include "svc/request.hpp"
 #include "svc/service.hpp"
-#include "svc/snapshot_store.hpp"
 #include "test_helpers.hpp"
 #include "util/cancel.hpp"
 #include "util/crc32.hpp"
@@ -432,44 +432,45 @@ TEST(CancelRobustness, CancelledErrorNamesTheKernel) {
 
 TEST(PersistRestore, RoundTripRecoversExactEpochAndCount) {
   const TempFile file("bfc_robust_store.snap");
-  svc::SnapshotStore writer(30, 25);
+  shard::ShardedSnapshotStore writer(30, 25, 1);
   for (std::uint64_t e = 0; e < 3; ++e)
-    (void)writer.apply_batch(random_batch(30, 25, 120, 100 + e));
+    (void)writer.apply_to_shard(0, random_batch(30, 25, 120, 100 + e));
   ASSERT_EQ(writer.epoch(), 3u);
   writer.persist(file.str());
 
-  svc::SnapshotStore reborn(1, 1);  // dimensions come from the file
+  // One shard: the dimensions come from the file.
+  shard::ShardedSnapshotStore reborn(1, 1, 1);
   reborn.restore(file.str());
   EXPECT_EQ(reborn.epoch(), writer.epoch());
   EXPECT_EQ(reborn.n1(), writer.n1());
   EXPECT_EQ(reborn.n2(), writer.n2());
-  const svc::SnapshotPtr a = writer.current();
-  const svc::SnapshotPtr b = reborn.current();
+  const svc::SnapshotPtr a = writer.shard_snapshot(0);
+  const svc::SnapshotPtr b = reborn.shard_snapshot(0);
   EXPECT_EQ(b->butterflies, a->butterflies);
   EXPECT_EQ(b->edges, a->edges);
   EXPECT_EQ(count::wedge_reference(b->graph), b->butterflies);
 
   // Warm restart continues the epoch sequence with zero count drift.
   const svc::PublishResult next =
-      reborn.apply_batch(random_batch(30, 25, 120, 777));
+      reborn.apply_to_shard(0, random_batch(30, 25, 120, 777));
   EXPECT_EQ(next.epoch, writer.epoch() + 1);
-  EXPECT_EQ(reborn.current()->butterflies,
-            count::wedge_reference(reborn.current()->graph));
+  EXPECT_EQ(reborn.shard_snapshot(0)->butterflies,
+            count::wedge_reference(reborn.shard_snapshot(0)->graph));
 }
 
 TEST(PersistRestore, EveryTruncationRejectedAndStoreUntouched) {
   const TempFile good("bfc_robust_trunc_src.snap");
   const TempFile bad("bfc_robust_trunc.snap");
-  svc::SnapshotStore writer(12, 10);
-  (void)writer.apply_batch(random_batch(12, 10, 60, 5));
+  shard::ShardedSnapshotStore writer(12, 10, 1);
+  (void)writer.apply_to_shard(0, random_batch(12, 10, 60, 5));
   writer.persist(good.str());
   const std::string bytes = read_file(good.str());
   ASSERT_GT(bytes.size(), 40u);  // envelope = magic+version+CRC+meta
 
-  svc::SnapshotStore victim(4, 4);
-  (void)victim.apply_batch({svc::EdgeUpdate::add(0, 0)});
+  shard::ShardedSnapshotStore victim(4, 4, 1);
+  (void)victim.apply_to_shard(0, {svc::EdgeUpdate::add(0, 0)});
   const std::uint64_t epoch_before = victim.epoch();
-  const count_t count_before = victim.current()->butterflies;
+  const count_t count_before = victim.shard_snapshot(0)->butterflies;
   // Step 7 keeps the loop count ~50 while still hitting every envelope
   // boundary (8/12/16/40 are all distinct mod-7 residues plus the explicit
   // boundary list below).
@@ -480,19 +481,19 @@ TEST(PersistRestore, EveryTruncationRejectedAndStoreUntouched) {
     EXPECT_THROW(victim.restore(bad.str()), std::runtime_error)
         << "cut at " << cut;
     EXPECT_EQ(victim.epoch(), epoch_before);
-    EXPECT_EQ(victim.current()->butterflies, count_before);
+    EXPECT_EQ(victim.shard_snapshot(0)->butterflies, count_before);
   }
 }
 
 TEST(PersistRestore, EveryByteFlipRejected) {
   const TempFile good("bfc_robust_flip_src.snap");
   const TempFile bad("bfc_robust_flip.snap");
-  svc::SnapshotStore writer(12, 10);
-  (void)writer.apply_batch(random_batch(12, 10, 60, 6));
+  shard::ShardedSnapshotStore writer(12, 10, 1);
+  (void)writer.apply_to_shard(0, random_batch(12, 10, 60, 6));
   writer.persist(good.str());
   const std::string bytes = read_file(good.str());
 
-  svc::SnapshotStore victim(4, 4);
+  shard::ShardedSnapshotStore victim(4, 4, 1);
   for (std::size_t at = 0; at < bytes.size(); ++at) {
     std::string mutated = bytes;
     mutated[at] = static_cast<char>(mutated[at] ^ 0x5A);
@@ -507,8 +508,8 @@ TEST(PersistRestore, RecountCatchesAForgedButterflyTotal) {
   // Keep the envelope's CRC self-consistent while lying about the count:
   // only the from-scratch recount during restore can catch this.
   const TempFile file("bfc_robust_forged.snap");
-  svc::SnapshotStore writer(10, 10);
-  (void)writer.apply_batch(random_batch(10, 10, 50, 9));
+  shard::ShardedSnapshotStore writer(10, 10, 1);
+  (void)writer.apply_to_shard(0, random_batch(10, 10, 50, 9));
   writer.persist(file.str());
   std::string bytes = read_file(file.str());
 
@@ -522,7 +523,7 @@ TEST(PersistRestore, RecountCatchesAForgedButterflyTotal) {
   std::memcpy(bytes.data() + 12, &reseal, sizeof reseal);
   write_file(file.str(), bytes);
 
-  svc::SnapshotStore victim(1, 1);
+  shard::ShardedSnapshotStore victim(1, 1, 1);
   const std::string msg =
       message_of([&] { victim.restore(file.str()); });
   EXPECT_NE(msg.find("butterfly count mismatch"), std::string::npos) << msg;
@@ -530,7 +531,7 @@ TEST(PersistRestore, RecountCatchesAForgedButterflyTotal) {
 }
 
 TEST(PersistRestore, MissingFileAndBadMagicAreNamed) {
-  svc::SnapshotStore store(2, 2);
+  shard::ShardedSnapshotStore store(2, 2, 1);
   EXPECT_NE(message_of([&] { store.restore("/nonexistent/bfc.snap"); })
                 .find("cannot open snapshot"),
             std::string::npos);
@@ -544,7 +545,7 @@ TEST(PersistRestore, ServiceRestoreFlushesCachesAndContinues) {
   const TempFile file("bfc_robust_service.snap");
   svc::ButterflyService service(3, 3, svc::ServiceOptions{.threads = 1});
   (void)service.apply_updates(random_batch(3, 3, 12, 21));
-  const std::uint64_t persisted_epoch = service.store().epoch();
+  const std::uint64_t persisted_epoch = service.view()->version;
   const count_t persisted_count = service.snapshot()->butterflies;
   service.persist(file.str());
 
@@ -720,38 +721,38 @@ TEST_F(FaultGated, SlowKernelTripsDeadlineIntoDegradedAnswer) {
 
 TEST_F(FaultGated, TornPersistIsRejectedAtRestore) {
   const TempFile file("bfc_robust_torn.snap");
-  svc::SnapshotStore writer(10, 10);
-  (void)writer.apply_batch(random_batch(10, 10, 40, 31));
+  shard::ShardedSnapshotStore writer(10, 10, 1);
+  (void)writer.apply_to_shard(0, random_batch(10, 10, 40, 31));
   {
     const svc::fault::Scoped torn(svc::fault::Point::kPersistTruncate, 0, 1);
     writer.persist(file.str());  // publishes a half-length file
   }
-  svc::SnapshotStore victim(1, 1);
+  shard::ShardedSnapshotStore victim(1, 1, 1);
   EXPECT_THROW(victim.restore(file.str()), std::runtime_error);
   EXPECT_EQ(victim.epoch(), 0u);
 }
 
 TEST_F(FaultGated, BitRotInPersistIsRejectedAtRestore) {
   const TempFile file("bfc_robust_rot.snap");
-  svc::SnapshotStore writer(10, 10);
-  (void)writer.apply_batch(random_batch(10, 10, 40, 32));
+  shard::ShardedSnapshotStore writer(10, 10, 1);
+  (void)writer.apply_to_shard(0, random_batch(10, 10, 40, 32));
   {
     const svc::fault::Scoped rot(svc::fault::Point::kPersistCorrupt, 0, 1,
                                  /*byte*/ 50);
     writer.persist(file.str());
   }
-  svc::SnapshotStore victim(1, 1);
+  shard::ShardedSnapshotStore victim(1, 1, 1);
   EXPECT_THROW(victim.restore(file.str()), std::runtime_error);
 }
 
 TEST_F(FaultGated, CrashBeforeRenameKeepsPreviousSnapshot) {
   const TempFile file("bfc_robust_crash.snap");
-  svc::SnapshotStore writer(10, 10);
-  (void)writer.apply_batch(random_batch(10, 10, 40, 33));
+  shard::ShardedSnapshotStore writer(10, 10, 1);
+  (void)writer.apply_to_shard(0, random_batch(10, 10, 40, 33));
   writer.persist(file.str());  // epoch 1 lands cleanly
-  const count_t count_at_1 = writer.current()->butterflies;
+  const count_t count_at_1 = writer.shard_snapshot(0)->butterflies;
 
-  (void)writer.apply_batch(random_batch(10, 10, 40, 34));  // epoch 2
+  (void)writer.apply_to_shard(0, random_batch(10, 10, 40, 34));  // epoch 2
   {
     const svc::fault::Scoped crash(svc::fault::Point::kPersistNoRename, 0, 1);
     writer.persist(file.str());  // "crashes" after the tmp write
@@ -760,10 +761,10 @@ TEST_F(FaultGated, CrashBeforeRenameKeepsPreviousSnapshot) {
   }
   // The interrupted publish must not have touched the real file: restore
   // recovers epoch 1 exactly.
-  svc::SnapshotStore victim(1, 1);
+  shard::ShardedSnapshotStore victim(1, 1, 1);
   victim.restore(file.str());
   EXPECT_EQ(victim.epoch(), 1u);
-  EXPECT_EQ(victim.current()->butterflies, count_at_1);
+  EXPECT_EQ(victim.shard_snapshot(0)->butterflies, count_at_1);
 }
 
 TEST_F(FaultGated, ForcedSaturationStillRejectsWithEmptyQueue) {

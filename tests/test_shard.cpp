@@ -11,8 +11,11 @@
 #include <barrier>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "chk/check.hpp"
@@ -28,6 +31,7 @@
 #include "svc/fault.hpp"
 #include "svc/service.hpp"
 #include "test_helpers.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace bfc::svc {
@@ -55,6 +59,55 @@ std::vector<EdgeUpdate> random_updates(vidx_t n1, vidx_t n2, int count,
                          static_cast<std::uint64_t>(n2))),
                      rng.bernoulli(0.8)});
   return batch;
+}
+
+/// One edge per V1 vertex at column `v`: every shard publishes once.
+std::vector<EdgeUpdate> every_row(vidx_t n1, vidx_t v) {
+  std::vector<EdgeUpdate> batch;
+  for (vidx_t u = 0; u < n1; ++u) batch.push_back(EdgeUpdate::add(u, v));
+  return batch;
+}
+
+/// Applies a mixed batch the way the service does: bucketed by V1 owner,
+/// one publish per touched shard, in ascending shard order.
+void apply_routed(shard::ShardedSnapshotStore& store,
+                  const std::vector<EdgeUpdate>& batch) {
+  const auto buckets = shard::ShardRouter(store.partition()).bucket(batch);
+  for (int k = 0; k < store.shard_count(); ++k)
+    if (!buckets[static_cast<std::size_t>(k)].empty())
+      (void)store.apply_to_shard(k, buckets[static_cast<std::size_t>(k)]);
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(out) << path;
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Runs fn, which must throw std::runtime_error; returns its message.
+template <typename Fn>
+std::string runtime_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected std::runtime_error";
+  return {};
+}
+
+void remove_checkpoint(const std::string& path, int shards) {
+  std::remove(path.c_str());
+  for (int k = 0; k < shards; ++k)
+    std::remove((path + ".shard" + std::to_string(k)).c_str());
 }
 
 TEST(RangePartition, CoversRangeWithoutOverlap) {
@@ -100,8 +153,8 @@ TEST(ScatterGather, SingleButterflyAcrossShards) {
   // One butterfly with u=0 and u=1 in different shards: invisible to both
   // shard-local kernels, fully reconstructed by the cross pass.
   shard::ShardedSnapshotStore store(2, 2, 2);
-  (void)store.apply_batch({EdgeUpdate::add(0, 0), EdgeUpdate::add(0, 1),
-                           EdgeUpdate::add(1, 0), EdgeUpdate::add(1, 1)});
+  apply_routed(store, {EdgeUpdate::add(0, 0), EdgeUpdate::add(0, 1),
+                      EdgeUpdate::add(1, 0), EdgeUpdate::add(1, 1)});
   const shard::ShardViewPtr view = store.view();
   EXPECT_EQ(view->local_butterflies(), 0);
   const shard::CrossAggregate agg = shard::ScatterGather::compute(*view);
@@ -123,7 +176,7 @@ TEST(ScatterGather, SingleButterflyAcrossShards) {
 
 TEST(ScatterGather, MemoisesPerSignatureAndKeepsLatestTwo) {
   shard::ShardedSnapshotStore store(6, 6, 2);
-  (void)store.apply_batch(inserts_of(random_graph(6, 6, 0.5, 11)));
+  apply_routed(store, inserts_of(random_graph(6, 6, 0.5, 11)));
   shard::ScatterGather sg;
   const shard::ShardViewPtr v1 = store.view();
   const shard::CrossAggregatePtr a1 = sg.cross(v1);
@@ -360,17 +413,15 @@ class OpaqueShard final : public shard::ShardHandle {
   shard::LocalShard inner_;
 };
 
-// Review regression: local_store() must report a swapped-in non-local
-// handle as null (a diagnosable state) rather than leaving callers to
-// dereference it, and the handle seam must still carry the data path.
-TEST(ShardedStore, LocalStoreIsNullForSwappedHandle) {
+// A swapped-in handle that is not a LocalShard still carries the data
+// path: the store applies through it and pins its snapshots.
+TEST(ShardedStore, SwappedHandleAppliesAndPins) {
   shard::ShardedSnapshotStore store(8, 4, 2);
-  ASSERT_NE(store.local_store(0), nullptr);
   store.swap_shard(0, std::make_shared<OpaqueShard>(0, 8, 4, 0, 4));
-  EXPECT_EQ(store.local_store(0), nullptr);
-  EXPECT_NE(store.local_store(1), nullptr);
   (void)store.apply_to_shard(0, {EdgeUpdate::add(0, 0)});
   EXPECT_EQ(store.shard_snapshot(0)->edges, 1);
+  EXPECT_EQ(store.view()->edges(), 1);
+  EXPECT_EQ(store.view()->version, 1u);
 }
 
 // Satellite regression: a publish on shard k must reset ONLY tier k's
@@ -533,8 +584,8 @@ TEST(ShardStress, ConcurrentDisjointWritersMatchSequentialReplay) {
 TEST(ScatterGather, CancelledComputeDropsMemoAndRetrySucceeds) {
   shard::ShardedSnapshotStore store(8, 6, 2);
   // One cross-shard butterfly: pair (0, 4) with common neighbors {0, 1}.
-  (void)store.apply_batch({EdgeUpdate::add(0, 0), EdgeUpdate::add(0, 1),
-                           EdgeUpdate::add(4, 0), EdgeUpdate::add(4, 1)});
+  apply_routed(store, {EdgeUpdate::add(0, 0), EdgeUpdate::add(0, 1),
+                      EdgeUpdate::add(4, 0), EdgeUpdate::add(4, 1)});
   const shard::ShardViewPtr view = store.view();
   shard::ScatterGather sg;
   const CancelToken expired(CancelToken::Clock::now() -
@@ -572,26 +623,18 @@ class ShardPersistRestoreFaults : public ::testing::Test {
           ".shard2", ".shard2.tmp"})
       std::remove((path + suffix).c_str());
   }
-
-  /// One edge per V1 vertex at column `v`: every shard's bucket is
-  /// non-empty, so one apply_batch bumps every shard's epoch by one.
-  static std::vector<EdgeUpdate> full_row(vidx_t n1, vidx_t v) {
-    std::vector<EdgeUpdate> batch;
-    for (vidx_t u = 0; u < n1; ++u) batch.push_back(EdgeUpdate::add(u, v));
-    return batch;
-  }
 };
 
 TEST_F(ShardPersistRestoreFaults, TruncatedShardFileRejectedAtRestore) {
   const std::string path = ::testing::TempDir() + "bfc_shardfault_torn.ckpt";
   shard::ShardedSnapshotStore writer(12, 8, 3);
-  (void)writer.apply_batch(full_row(12, 0));
+  apply_routed(writer, every_row(12, 0));
   {
     const svc::fault::Scoped torn(svc::fault::Point::kPersistTruncate, 0, 1);
     writer.persist(path);  // shard 0's file lands half-length
   }
   shard::ShardedSnapshotStore victim(12, 8, 3);
-  (void)victim.apply_batch({EdgeUpdate::add(0, 0)});
+  apply_routed(victim, {EdgeUpdate::add(0, 0)});
   const std::uint64_t epoch_before = victim.epoch();
   EXPECT_THROW(victim.restore(path), std::runtime_error);
   // All-or-nothing: the torn shard file must leave the victim untouched.
@@ -603,7 +646,7 @@ TEST_F(ShardPersistRestoreFaults, TruncatedShardFileRejectedAtRestore) {
 TEST_F(ShardPersistRestoreFaults, BitRotInOneShardFileRejectedAtRestore) {
   const std::string path = ::testing::TempDir() + "bfc_shardfault_rot.ckpt";
   shard::ShardedSnapshotStore writer(12, 8, 3);
-  (void)writer.apply_batch(full_row(12, 0));
+  apply_routed(writer, every_row(12, 0));
   {
     const svc::fault::Scoped rot(svc::fault::Point::kPersistCorrupt, 0, 1,
                                  /*byte*/ 40);
@@ -619,7 +662,7 @@ TEST_F(ShardPersistRestoreFaults, BitRotInOneShardFileRejectedAtRestore) {
 TEST_F(ShardPersistRestoreFaults, NoRenameWithoutPriorCheckpointIsMissing) {
   const std::string path = ::testing::TempDir() + "bfc_shardfault_miss.ckpt";
   shard::ShardedSnapshotStore writer(12, 8, 3);
-  (void)writer.apply_batch(full_row(12, 0));
+  apply_routed(writer, every_row(12, 0));
   {
     const svc::fault::Scoped crash(svc::fault::Point::kPersistNoRename, 0, 1);
     writer.persist(path);  // shard 0's file is never published
@@ -640,9 +683,9 @@ TEST_F(ShardPersistRestoreFaults, NoRenameOverPriorCheckpointIsAFuzzyCut) {
   // ShardView offers): restore must succeed with shard 0 at the old state.
   const std::string path = ::testing::TempDir() + "bfc_shardfault_fuzzy.ckpt";
   shard::ShardedSnapshotStore writer(12, 8, 3);
-  (void)writer.apply_batch(full_row(12, 0));  // epochs (1, 1, 1)
+  apply_routed(writer, every_row(12, 0));  // epochs (1, 1, 1)
   writer.persist(path);
-  (void)writer.apply_batch(full_row(12, 1));  // epochs (2, 2, 2)
+  apply_routed(writer, every_row(12, 1));  // epochs (2, 2, 2)
   {
     const svc::fault::Scoped crash(svc::fault::Point::kPersistNoRename, 0, 1);
     writer.persist(path);
@@ -657,6 +700,133 @@ TEST_F(ShardPersistRestoreFaults, NoRenameOverPriorCheckpointIsAFuzzyCut) {
   EXPECT_EQ(victim.shard_snapshot(0)->edges, 4);
   EXPECT_EQ(victim.view()->edges(), 4 + 8 + 8);
   cleanup(path);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint files from outside: layout checks and the manifest (all builds)
+// ---------------------------------------------------------------------------
+
+// A shard file from a checkpoint of other dimensions must not be spliced
+// into this layout: it passes every check of its own (magic, CRC, recount,
+// owned rows), so only the comparison with the layout's (n1, n2) rejects
+// it — naming the file and both layouts, with the service untouched.
+TEST(ShardPersistRestore, ShardFileWithWrongDimensionsIsRejected) {
+  const std::string path = ::testing::TempDir() + "bfc_shard_dims.ckpt";
+  const std::string other = ::testing::TempDir() + "bfc_shard_dims_3.ckpt";
+  ButterflyService wide(12, 8, {.threads = 1, .shards = 3});
+  wide.apply_updates(random_updates(12, 8, 60, 51));
+  wide.persist(path);
+  ButterflyService narrow(12, 3, {.threads = 1, .shards = 3});
+  narrow.apply_updates(random_updates(12, 3, 30, 52));
+  narrow.persist(other);
+  write_bytes(path + ".shard0", read_bytes(other + ".shard0"));
+
+  ButterflyService victim(12, 8, {.threads = 1, .shards = 3});
+  victim.apply_updates(random_updates(12, 8, 20, 53));
+  const shard::ShardViewPtr before = victim.view();
+  const count_t count_before = victim.global_count().get().value;
+  const std::string msg = runtime_error_of([&] { victim.restore(path); });
+  EXPECT_NE(msg.find("layout mismatch"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(path + ".shard0"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("12x3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("12x8"), std::string::npos) << msg;
+  EXPECT_EQ(victim.view()->version, before->version);
+  EXPECT_EQ(victim.view()->edges(), before->edges());
+  EXPECT_EQ(victim.global_count().get().value, count_before);
+  remove_checkpoint(path, 3);
+  remove_checkpoint(other, 3);
+}
+
+// The BFCSHD01 manifest gets the treatment test_robustness gives the
+// BFCSNP01 snapshot file: every truncation and every byte flip is rejected,
+// and the victim keeps its state. The shard files next to the broken
+// manifest are intact copies, so only the manifest can fail the restore.
+TEST(ShardManifest, EveryTruncationAndByteFlipRejected) {
+  const std::string good = ::testing::TempDir() + "bfc_manifest_good.ckpt";
+  const std::string bad = ::testing::TempDir() + "bfc_manifest_bad.ckpt";
+  shard::ShardedSnapshotStore writer(12, 8, 3);
+  apply_routed(writer, every_row(12, 0));
+  apply_routed(writer, random_updates(12, 8, 40, 61));
+  writer.persist(good);
+  const std::string manifest = read_bytes(good);
+  ASSERT_EQ(manifest.size(), 24u);  // magic(8) CRC(4) {shards, n1, n2}(12)
+  for (int k = 0; k < 3; ++k) {
+    const std::string suffix = ".shard" + std::to_string(k);
+    write_bytes(bad + suffix, read_bytes(good + suffix));
+  }
+
+  shard::ShardedSnapshotStore victim(12, 8, 3);
+  apply_routed(victim, {EdgeUpdate::add(0, 0), EdgeUpdate::add(11, 7)});
+  const std::uint64_t version_before = victim.view()->version;
+  const offset_t edges_before = victim.view()->edges();
+  auto expect_rejected = [&](const std::string& bytes,
+                             const std::string& what) {
+    write_bytes(bad, bytes);
+    EXPECT_THROW(victim.restore(bad), std::runtime_error) << what;
+    EXPECT_EQ(victim.view()->version, version_before) << what;
+    EXPECT_EQ(victim.view()->edges(), edges_before) << what;
+  };
+  for (std::size_t cut = 0; cut < manifest.size(); ++cut)
+    expect_rejected(manifest.substr(0, cut), "cut at " + std::to_string(cut));
+  for (std::size_t at = 0; at < manifest.size(); ++at) {
+    std::string flipped = manifest;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x5A);
+    expect_rejected(flipped, "flip at byte " + std::to_string(at));
+  }
+
+  // The intact manifest over the same shard files restores.
+  write_bytes(bad, manifest);
+  victim.restore(bad);
+  EXPECT_EQ(victim.view()->signature, writer.view()->signature);
+  EXPECT_EQ(victim.view()->edges(), writer.view()->edges());
+  remove_checkpoint(good, 3);
+  remove_checkpoint(bad, 3);
+}
+
+TEST(ShardManifest, ShardCountOrDimensionMismatchIsNamed) {
+  const std::string path = ::testing::TempDir() + "bfc_manifest_layout.ckpt";
+  shard::ShardedSnapshotStore writer(12, 8, 3);
+  apply_routed(writer, every_row(12, 1));
+  writer.persist(path);
+  for (const auto& [n1, n2, shards] :
+       {std::tuple{12, 8, 2}, std::tuple{12, 9, 3}, std::tuple{13, 8, 3}}) {
+    shard::ShardedSnapshotStore victim(n1, n2, shards);
+    const std::string msg = runtime_error_of([&] { victim.restore(path); });
+    EXPECT_NE(msg.find("layout mismatch"), std::string::npos)
+        << n1 << "x" << n2 << "/" << shards << ": " << msg;
+    EXPECT_EQ(victim.view()->version, 0u);
+  }
+  remove_checkpoint(path, 3);
+}
+
+// The on-disk formats do not move: BFCSNP01 (a 1-shard checkpoint is the
+// drop-in legacy snapshot file) and BFCSHD01 with its per-shard BFCSNP01
+// files. The CRCs were recorded from the store layout before LocalShard
+// became the snapshot store.
+TEST(ShardPersistFormat, PersistedBytesAreGolden) {
+  const std::string path = ::testing::TempDir() + "bfc_golden.ckpt";
+  const std::vector<EdgeUpdate> batch = random_updates(12, 8, 60, 71);
+  auto crc_of = [](const std::string& file) {
+    const std::string bytes = read_bytes(file);
+    return crc32(bytes.data(), bytes.size());
+  };
+
+  shard::ShardedSnapshotStore one(12, 8, 1);
+  apply_routed(one, batch);
+  apply_routed(one, every_row(12, 2));
+  one.persist(path);
+  EXPECT_EQ(crc_of(path), 0x7DB640EDu) << "1-shard BFCSNP01";
+  remove_checkpoint(path, 1);
+
+  shard::ShardedSnapshotStore three(12, 8, 3);
+  apply_routed(three, batch);
+  apply_routed(three, every_row(12, 2));
+  three.persist(path);
+  EXPECT_EQ(crc_of(path), 0xEFB977B3u) << "BFCSHD01 manifest";
+  EXPECT_EQ(crc_of(path + ".shard0"), 0xBC39682Du) << "shard 0";
+  EXPECT_EQ(crc_of(path + ".shard1"), 0x514384BCu) << "shard 1";
+  EXPECT_EQ(crc_of(path + ".shard2"), 0xD78E23ABu) << "shard 2";
+  remove_checkpoint(path, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Tests for the serving subsystem (src/svc/): snapshot store epoch
-// semantics, LRU result cache, executor, request coalescing (asserted via
-// the obs counters), dynamic-counter parity with from-scratch recounts, and
-// a TSan-friendly readers-vs-writer stress test.
+// semantics (shard::LocalShard), LRU result cache, executor, request
+// coalescing (asserted via the obs counters), dynamic-counter parity with
+// from-scratch recounts, and a TSan-friendly readers-vs-writer stress test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "count/top_pairs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
+#include "shard/shard.hpp"
 #include "sparse/ops.hpp"
 #include "svc/fault.hpp"
 #include "svc/service.hpp"
@@ -38,9 +39,9 @@ std::int64_t counter_value(const char* name) {
   return obs::Registry::instance().counter(name).value();
 }
 
-TEST(SnapshotStore, GenesisAndPublish) {
-  SnapshotStore store(4, 4);
-  const SnapshotPtr genesis = store.current();
+TEST(LocalShard, GenesisAndPublish) {
+  shard::LocalShard store(0, 4, 4, 0, 4);
+  const SnapshotPtr genesis = store.pin();
   EXPECT_EQ(genesis->epoch, 0u);
   EXPECT_EQ(genesis->edges, 0);
   EXPECT_EQ(genesis->butterflies, 0);
@@ -50,14 +51,14 @@ TEST(SnapshotStore, GenesisAndPublish) {
       EdgeUpdate::add(1, 1), EdgeUpdate::add(1, 1),  // duplicate
       EdgeUpdate::del(3, 3),                         // absent
   };
-  const PublishResult r = store.apply_batch(batch);
+  const PublishResult r = store.apply(batch);
   EXPECT_EQ(r.epoch, 1u);
   EXPECT_EQ(r.applied, 4);
   EXPECT_EQ(r.ignored, 2);
   EXPECT_EQ(r.created, 1);  // (1,1) closes the single butterfly
   EXPECT_EQ(r.destroyed, 0);
 
-  const SnapshotPtr s1 = store.current();
+  const SnapshotPtr s1 = store.pin();
   EXPECT_EQ(s1->epoch, 1u);
   EXPECT_EQ(s1->edges, 4);
   EXPECT_EQ(s1->butterflies, 1);
@@ -66,7 +67,7 @@ TEST(SnapshotStore, GenesisAndPublish) {
   EXPECT_EQ(genesis->edges, 0);
 }
 
-TEST(SnapshotStore, EpochIsolation) {
+TEST(Service, EpochIsolation) {
   // A reader pinned to epoch k must see no edges from epoch k+1.
   ButterflyService service(6, 6, {.threads = 2});
   service.apply_updates(inserts_of(random_graph(6, 6, 0.4, 1)));
