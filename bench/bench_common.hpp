@@ -12,7 +12,10 @@
 //   --json <path> write a machine-readable RunReport (config, environment,
 //                 kernel metrics, every timing sample) after the table.
 //   --trace <path> record phase/kernel spans and write chrome://tracing
-//                 JSON (open in chrome://tracing or ui.perfetto.dev).
+//                 JSON (open in chrome://tracing or ui.perfetto.dev). Each
+//                 timed repetition is one `bench.cell` span whose `sample`
+//                 tag indexes the RunReport's samples[] and `rep` its
+//                 seconds[].
 //
 // Unknown flags are rejected (a typo like --rep must not silently run with
 // defaults).
@@ -28,7 +31,7 @@
 #include "gen/konect_like.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "obs/report.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -77,7 +80,7 @@ inline BenchConfig parse_config(
   require(cfg.scale > 0.0 && cfg.scale <= 1.0, "--scale must be in (0, 1]");
   require(cfg.reps >= 1, "--reps must be >= 1");
 
-  if (!cfg.trace_path.empty()) obs::Tracer::set_enabled(true);
+  if (!cfg.trace_path.empty()) obs::SpanLog::set_enabled(true);
   return cfg;
 }
 
@@ -89,7 +92,7 @@ struct Dataset {
 
 /// The five Fig. 9 stand-ins at the configured scale (DESIGN.md §4).
 inline std::vector<Dataset> make_datasets(const BenchConfig& cfg) {
-  BFC_TRACE_SCOPE("bench.make_datasets");
+  const obs::Span phase("bench.make_datasets");
   std::vector<Dataset> out;
   std::uint64_t salt = 0;
   for (const auto& preset : gen::konect_presets()) {
@@ -104,7 +107,8 @@ inline std::vector<Dataset> make_datasets(const BenchConfig& cfg) {
 /// Times one run of fn (which must return the computed count so the work
 /// cannot be optimised away); repeats cfg.reps times, reports the median.
 /// Every repetition is recorded into the RunReport under `label` (or an
-/// auto-numbered cell name) and traced as one span per rep.
+/// auto-numbered cell name) and traced as one `bench.cell` span per rep,
+/// tagged with the cell's samples[] index and the rep number.
 template <typename Fn>
 double time_median_seconds(const BenchConfig& cfg, Fn&& fn,
                            count_t* count_out = nullptr,
@@ -113,10 +117,13 @@ double time_median_seconds(const BenchConfig& cfg, Fn&& fn,
     static int auto_cell = 0;
     label = "cell_" + std::to_string(auto_cell++);
   }
+  const std::size_t sample = report().sample_count();
   Samples samples;
   count_t result = 0;
   for (int r = 0; r < cfg.reps; ++r) {
-    BFC_TRACE_SCOPE(label);
+    obs::Span cell("bench.cell");
+    cell.tag("sample", sample);
+    cell.tag("rep", static_cast<std::uint64_t>(r));
     Timer timer;
     result = fn();
     samples.add(timer.seconds());
@@ -148,7 +155,7 @@ inline void write_reports(const BenchConfig& cfg) try {
     std::cout << "wrote run report: " << cfg.json_path << '\n';
   }
   if (!cfg.trace_path.empty()) {
-    obs::Tracer::write_chrome_json(cfg.trace_path);
+    obs::SpanLog::write_chrome_json(cfg.trace_path);
     std::cout << "wrote trace: " << cfg.trace_path << '\n';
   }
 } catch (const std::exception& e) {

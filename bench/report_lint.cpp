@@ -1,7 +1,9 @@
 // report_lint: validates the machine-readable artifacts the benches emit.
 //
 //   report_lint --report      out.json  check a RunReport (--json output)
-//   report_lint --trace       out.json  check a chrome://tracing file
+//   report_lint --trace       out.json  check a chrome://tracing file; an
+//                                       empty one passes only beside a
+//                                       --report from a BFC_METRICS=OFF build
 //   report_lint --openmetrics out.txt   check an OpenMetrics text dump
 //                                       (--metrics-file / /metrics output)
 //   ... --families tools/analyze/metrics.registry
@@ -45,7 +47,8 @@ void check(bool cond, const std::string& what) {
   if (!cond) throw std::runtime_error(what);
 }
 
-void lint_report(const Json& doc) {
+/// Lints a RunReport; returns true when it says "metrics_enabled": false.
+bool lint_report(const Json& doc) {
   for (const char* key : {"config", "environment", "metrics", "samples"})
     check(doc.has(key), std::string("missing top-level key \"") + key + '"');
   check(doc.at("config").is_object(), "\"config\" is not an object");
@@ -88,12 +91,19 @@ void lint_report(const Json& doc) {
   }
   std::cout << "report ok: " << samples.size() << " sample cells, "
             << doc.at("metrics").size() << " metrics\n";
+  return !env.at("metrics_enabled").as_bool();
 }
 
-void lint_trace(const Json& doc) {
+/// `metrics_off` = the RunReport linted in the same call says the build has
+/// BFC_METRICS=OFF, the one configuration whose trace is legitimately empty.
+void lint_trace(const Json& doc, bool metrics_off) {
   check(doc.has("traceEvents"), "missing top-level key \"traceEvents\"");
   const Json& events = doc.at("traceEvents");
   check(events.is_array(), "\"traceEvents\" is not an array");
+  check(events.size() > 0 || metrics_off,
+        "\"traceEvents\" is empty: a traced run recorded no spans (only a "
+        "BFC_METRICS=OFF build, shown by a --report saying "
+        "\"metrics_enabled\": false, may trace nothing)");
   for (std::size_t i = 0; i < events.size(); ++i) {
     const Json& ev = events.at(i);
     for (const char* key : {"name", "ph", "pid", "tid", "ts", "dur"})
@@ -392,8 +402,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    if (!report_path.empty()) lint_report(load(report_path));
-    if (!trace_path.empty()) lint_trace(load(trace_path));
+    const bool metrics_off =
+        !report_path.empty() && lint_report(load(report_path));
+    if (!trace_path.empty()) lint_trace(load(trace_path), metrics_off);
     if (!metrics_path.empty())
       lint_openmetrics(metrics_path, families_registry);
   } catch (const std::exception& e) {

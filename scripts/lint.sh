@@ -9,10 +9,11 @@
 #   a critical section in those loops serialises the exact code the paper's
 #   scaling figures measure. (svc/ may use locks; that layer is excluded.)
 #
-# Rule B — every source file that opens a BFC_TRACE_SCOPE must also publish
-#   at least one metric (BFC_COUNT_ADD / BFC_GAUGE_SET / BFC_HIST_OBSERVE).
-#   A trace span with no counters renders as a bare timing bar in the run
-#   report, with nothing to correlate the time against.
+# Rule B — every source file that opens a phase span (the context-free
+#   `obs::Span name("phase.name")` form) must also publish at least one
+#   metric (BFC_COUNT_ADD / BFC_GAUGE_SET / BFC_HIST_OBSERVE). A phase span
+#   with no counters renders as a bare timing bar in the trace, with nothing
+#   to correlate the time against.
 #
 # bfc-analyze — the token-aware rules that replaced the old grep rules C
 #   (raw sync primitives), D (implicit memory orders) and E (undocumented
@@ -50,21 +51,21 @@ else
   echo "lint: rule A ok (no omp critical in src/la, src/count)"
 fi
 
-# --- Rule B: trace scopes paired with metric publishes ---------------------
+# --- Rule B: phase spans paired with metric publishes ----------------------
 unpaired=()
 while IFS= read -r f; do
   if ! grep -Eq "BFC_COUNT_ADD|BFC_GAUGE_SET|BFC_HIST_OBSERVE" "$f"; then
     unpaired+=("$f")
   fi
-done < <(grep -rl "BFC_TRACE_SCOPE" src --include='*.cpp')
+done < <(grep -rlE 'Span [A-Za-z_]+\("' src --include='*.cpp')
 
 if ((${#unpaired[@]})); then
-  echo "lint: FAIL rule B — BFC_TRACE_SCOPE without any metric publish:" >&2
+  echo "lint: FAIL rule B — phase span without any metric publish:" >&2
   printf '  %s\n' "${unpaired[@]}" >&2
   echo "  (add a BFC_COUNT_ADD/BFC_GAUGE_SET so the span is attributable)" >&2
   fail=1
 else
-  echo "lint: rule B ok (every trace scope file publishes a metric)"
+  echo "lint: rule B ok (every phase span file publishes a metric)"
 fi
 
 # --- bfc-analyze: the token-aware project rules -----------------------------

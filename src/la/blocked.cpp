@@ -8,7 +8,7 @@
 #include "chk/validate.hpp"
 #include "chk/tsan_fence.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "sparse/wedge_accumulator.hpp"
 
 namespace bfc::la {
@@ -142,7 +142,7 @@ count_t count_blocked_parallel(const sparse::CsrPattern& lines,
 #pragma omp parallel
   {
     PanelScratch scratch(lines.cols());
-    obs::ScopedTrace thread_span("kernel.blocked_parallel");
+    const obs::Span thread_span("kernel.blocked_parallel");
 #pragma omp for schedule(dynamic, 1) reduction(+ : total)
     for (std::int64_t k = 0; k < panels; ++k) {
       const auto panel_idx = static_cast<vidx_t>(

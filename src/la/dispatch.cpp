@@ -1,6 +1,8 @@
 #include "la/count.hpp"
 
 #include "la/blocked.hpp"
+#include "obs/metrics.hpp"
+#include "obs/spans.hpp"
 #include "util/parallel.hpp"
 
 namespace bfc::la {
@@ -24,6 +26,11 @@ UpdateForm resolve_update(CountOptions::Update update, const InvariantTraits& t)
 count_t count_butterflies(const graph::BipartiteGraph& g, Invariant inv,
                           const CountOptions& options) {
   require(options.threads >= 1, "count_butterflies: threads must be >= 1");
+  // One span per count whatever the engine, opened here rather than in the
+  // kernels so their hot loops stay as they are; the parallel drivers add
+  // one span per thread inside it.
+  const obs::Span phase("kernel.count");
+  BFC_COUNT_ADD("la.count_calls", 1);
   const InvariantTraits t = traits(inv);
 
   // "Lines" enumerate the partitioned dimension: columns of A for the V2

@@ -3,7 +3,7 @@
 #include "chk/validate.hpp"
 #include "chk/tsan_fence.hpp"
 #include "la/steps.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 
 namespace bfc::la {
 
@@ -25,7 +25,7 @@ count_t count_unblocked_parallel(const sparse::CsrPattern& lines,
                                      0);
     // One trace span and one work-histogram sample per thread per region,
     // so imbalance across the dynamic schedule is visible per track.
-    obs::ScopedTrace thread_span("kernel.unblocked_parallel");
+    const obs::Span thread_span("kernel.unblocked_parallel");
     StepWork work;
 #pragma omp for schedule(dynamic, 16) reduction(+ : total)
     for (std::int64_t s = 0; s < n_steps; ++s)
@@ -58,7 +58,7 @@ count_t count_wedge_parallel(const sparse::CsrPattern& lines,
 #pragma omp parallel
   {
     sparse::WedgeAccumulator acc(lines.rows());
-    obs::ScopedTrace thread_span("kernel.wedge_parallel");
+    const obs::Span thread_span("kernel.wedge_parallel");
     StepWork work;
 #pragma omp for schedule(dynamic, 64) reduction(+ : total)
     for (std::int64_t s = 0; s < n_steps; ++s) {

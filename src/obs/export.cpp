@@ -167,8 +167,10 @@ void MetricsHttpServer::serve_loop(const std::stop_token& stop) {
       if (n <= 0) break;
       off += static_cast<std::size_t>(n);
     }
-    ::close(client);
+    // Count before the close: a client that reads to EOF must already see
+    // its own request in requests_served().
     served_.fetch_add(1, std::memory_order_relaxed);
+    ::close(client);
   }
 }
 

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "util/parallel.hpp"
 #include "util/sync.hpp"
 
@@ -91,7 +91,7 @@ void FlightRecorder::record(const char* kind, const char* detail,
   // Odd = in flight. Lap count in the high bits keeps seq unique per write
   // so a reader can detect being overtaken mid-copy.
   slot.seq.store(2 * idx + 1, std::memory_order_release);
-  slot.ev.ts_us = Tracer::now_us();
+  slot.ev.ts_us = now_us();
   slot.ev.trace_id = trace_id;
   slot.ev.a = a;
   slot.ev.b = b;

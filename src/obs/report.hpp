@@ -5,6 +5,7 @@
 // diff the kernel counters and sample arrays instead of eyeballing tables.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,6 +24,10 @@ class RunReport {
   /// nothing about the distribution is discarded. Summary stats (median,
   /// mean, stddev, p90) are precomputed into the JSON for easy diffing.
   void add_sample(const std::string& label, const Samples& samples);
+
+  /// Number of cells added so far: the samples[] index the next
+  /// add_sample() lands at.
+  [[nodiscard]] std::size_t sample_count() const { return samples_.size(); }
 
   /// Captures compiler, OpenMP limits, git describe, timestamp, hostname
   /// and whether kernel metrics were compiled in. Idempotent (re-captures).

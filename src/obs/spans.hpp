@@ -1,19 +1,22 @@
-// Request-scoped tracing for the serving stack. Where obs/trace.hpp records
-// flat phase timings (one chrome://tracing bar per scope), this layer records
-// a *causal tree*: every span carries a trace id shared by everything one
-// svc::Request touched, its own span id, and the span id of its parent, plus
-// string tags for the decisions made inside it (cache hit/miss, degrade rung,
-// shed/cancelled outcome, fidelity of the answer). A query's life —
-// admission, queue wait, coalesced kernel pass, degradation — reconstructs
-// as one tree no matter how many threads it crossed.
+// The one span store. Every timed region in the process lands here as a
+// SpanRecord: request-scoped spans that form a *causal tree* (a trace id
+// shared by everything one svc::Request touched, its own span id, the span
+// id of its parent, plus string tags for the decisions made inside it —
+// cache hit/miss, degrade rung, shed/cancelled outcome, fidelity of the
+// answer), and context-free phase spans (loaders, kernels, peeling, shard
+// persist/restore, bench cells) that each root their own trace. A query's
+// life — admission, queue wait, coalesced kernel pass, degradation —
+// reconstructs as one tree no matter how many threads it crossed. Two
+// renderers read the log: write_json (the span tree) and write_chrome_json
+// (a chrome://tracing timeline, one track per OpenMP thread).
 //
-// Collection is runtime-gated exactly like the Tracer: a disabled SpanLog
-// costs one predictable branch per Span construction, and under
-// BFC_METRICS=OFF enabled() is constant-false so the whole plumbing folds
-// away. Storage is sharded by recording thread (span close is on the
-// serving hot path; a single log mutex would serialise every reader), each
-// shard a bounded ring that overwrites its oldest span past capacity, so a
-// long-running service cannot grow the log without bound.
+// Collection is runtime-gated: a disabled SpanLog costs one relaxed load per
+// Span construction and no allocation, and under BFC_METRICS=OFF enabled()
+// is constant-false so the whole plumbing folds away. Storage is sharded by
+// recording thread (span close is on the serving hot path; a single log
+// mutex would serialise every reader), each shard a bounded ring that
+// overwrites its oldest span past capacity, so a long-running service
+// cannot grow the log without bound.
 #pragma once
 
 #include <array>
@@ -27,6 +30,10 @@
 #include "obs/metrics.hpp"
 
 namespace bfc::obs {
+
+/// Microseconds on the steady clock since the process trace epoch: the one
+/// clock behind span, flight-recorder and queue-wait timestamps.
+[[nodiscard]] std::int64_t now_us();
 
 /// The identity a request carries through the service: which trace it
 /// belongs to and which span is the current parent. Copied by value into
@@ -63,7 +70,7 @@ struct SpanRecord {
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;  // 0 = root span of its trace
   std::string_view name;        // literal; must outlive the log
-  std::int64_t ts_us = 0;   // start, microseconds on the Tracer's clock
+  std::int64_t ts_us = 0;   // start, microseconds on now_us()'s clock
   std::int64_t dur_us = 0;  // duration in microseconds
   int tid = 0;              // OpenMP thread id where the span closed
   std::uint64_t seq = 0;    // process-wide completion order, set by record()
@@ -78,7 +85,7 @@ struct SpanRecord {
 };
 
 /// Process-wide bounded log of completed spans. All members are static: the
-/// span tree is a property of the process, like the Tracer's event list.
+/// span tree is a property of the process.
 class SpanLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 13;
@@ -126,6 +133,12 @@ class SpanLog {
   /// std::runtime_error if the file cannot be written.
   static void write_json(const std::string& path);
 
+  /// Serializes the log as chrome://tracing trace-event JSON: one complete
+  /// ("ph":"X") event per span with the OpenMP thread id as `tid` and the
+  /// tags as `args`, plus {"otherData": {"dropped": n}} so a truncated ring
+  /// is visible. Throws std::runtime_error if the file cannot be written.
+  static void write_chrome_json(const std::string& path);
+
  private:
   static std::atomic<bool>& enabled_flag() noexcept;
 };
@@ -136,8 +149,18 @@ class SpanLog {
 /// duration and records early; the destructor closes if nobody did.
 class Span {
  public:
-  /// `name` must be a string literal (or otherwise outlive the log).
-  Span(const TraceContext& parent, std::string_view name);
+  /// Child span under `parent`. `name` must be a string literal (or
+  /// otherwise outlive the log).
+  Span(const TraceContext& parent, std::string_view name) {
+    if (SpanLog::enabled() && parent.active()) open(parent, name);
+  }
+
+  /// Phase span: roots its own trace without head sampling, so it is
+  /// armed exactly when the log is enabled.
+  explicit Span(std::string_view name) {
+    if (SpanLog::enabled()) open(TraceContext::root(), name);
+  }
+
   ~Span() { close(); }
 
   Span(const Span&) = delete;
@@ -160,9 +183,14 @@ class Span {
   void tag(const char* key, std::uint64_t value);
 
   /// Stamps the duration and records the span; idempotent.
-  void close();
+  void close() {
+    if (armed_) record_close();
+  }
 
  private:
+  void open(const TraceContext& parent, std::string_view name);
+  void record_close();
+
   SpanRecord rec_;
   bool armed_ = false;
 };

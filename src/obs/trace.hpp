@@ -1,80 +1,16 @@
-// Scoped phase tracing that emits chrome://tracing / Perfetto-compatible
-// trace-event JSON (one "X" complete event per recorded span, one track per
-// OpenMP thread via the tid field).
-//
-// Collection is runtime-gated: nothing is recorded until Tracer::set_enabled
-// (the bench harness flips it when --trace is passed), so a ScopedTrace in a
-// kernel costs one relaxed load when tracing is off. Spans are coarse by
-// design — phases, dataset cells, one span per thread per parallel region —
-// not per-wedge events.
+// Forwarding alias kept for one caller: perfbench/main.cpp switches library
+// tracing off through Tracer::set_enabled, and the benchmark's sources change
+// only together with its recorded baselines. The library traces through
+// SpanLog (obs/spans.hpp) alone; delete this header once that call moves to
+// SpanLog::set_enabled.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <string>
-#include <vector>
+#include "obs/spans.hpp"
 
 namespace bfc::obs {
 
-struct TraceEvent {
-  std::string name;
-  std::int64_t ts_us = 0;   // start, microseconds since process trace epoch
-  std::int64_t dur_us = 0;  // duration in microseconds
-  int tid = 0;              // OpenMP thread id at record time
-};
-
-class Tracer {
- public:
-  [[nodiscard]] static bool enabled() noexcept {
-    return enabled_flag().load(std::memory_order_relaxed);
-  }
-  static void set_enabled(bool on) noexcept {
-    enabled_flag().store(on, std::memory_order_relaxed);
-  }
-
-  /// Microseconds on the steady clock since the process trace epoch.
-  [[nodiscard]] static std::int64_t now_us();
-
-  /// Appends one complete span (thread id is captured here).
-  static void record(std::string name, std::int64_t ts_us,
-                     std::int64_t dur_us);
-
-  [[nodiscard]] static std::vector<TraceEvent> events();
-  static void clear();
-
-  /// Serializes all recorded spans as {"traceEvents": [...]} to `path`;
-  /// throws std::runtime_error if the file cannot be written.
-  static void write_chrome_json(const std::string& path);
-
- private:
-  static std::atomic<bool>& enabled_flag() noexcept;
-};
-
-/// RAII span: records [construction, destruction) when tracing is enabled.
-class ScopedTrace {
- public:
-  explicit ScopedTrace(std::string name)
-      : name_(std::move(name)),
-        start_us_(Tracer::enabled() ? Tracer::now_us() : -1) {}
-
-  ~ScopedTrace() {
-    if (start_us_ >= 0)
-      Tracer::record(std::move(name_), start_us_,
-                     Tracer::now_us() - start_us_);
-  }
-
-  ScopedTrace(const ScopedTrace&) = delete;
-  ScopedTrace& operator=(const ScopedTrace&) = delete;
-
- private:
-  std::string name_;
-  std::int64_t start_us_;
+struct Tracer {
+  static void set_enabled(bool on) noexcept { SpanLog::set_enabled(on); }
 };
 
 }  // namespace bfc::obs
-
-#define BFC_TRACE_CONCAT_IMPL(a, b) a##b
-#define BFC_TRACE_CONCAT(a, b) BFC_TRACE_CONCAT_IMPL(a, b)
-/// Traces the enclosing scope under `name` (any std::string expression).
-#define BFC_TRACE_SCOPE(name) \
-  ::bfc::obs::ScopedTrace BFC_TRACE_CONCAT(bfc_trace_scope_, __LINE__)(name)

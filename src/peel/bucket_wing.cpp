@@ -3,7 +3,7 @@
 
 #include "count/local_counts.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "peel/decompose.hpp"
 
 #include "sparse/ops.hpp"
@@ -11,7 +11,7 @@
 namespace bfc::peel {
 
 WingDecomposition wing_decomposition(const graph::BipartiteGraph& g) {
-  BFC_TRACE_SCOPE("peel.wing_decomposition");
+  const obs::Span phase("peel.wing_decomposition");
   const sparse::CsrPattern& a = g.csr();
   const sparse::CsrPattern& at = g.csc();
   const auto nnz = static_cast<std::size_t>(a.nnz());

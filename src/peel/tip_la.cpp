@@ -1,6 +1,6 @@
 #include "count/local_counts.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/spans.hpp"
 #include "peel/peeling.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/wedge_accumulator.hpp"
@@ -45,7 +45,7 @@ std::vector<count_t> tip_vector(const graph::BipartiteGraph& g, Side side,
 
 TipPeelResult k_tip(const graph::BipartiteGraph& g, count_t k, Side side,
                     TipAlgorithm algorithm) {
-  BFC_TRACE_SCOPE("peel.k_tip");
+  const obs::Span phase("peel.k_tip");
   require(k >= 0, "k_tip: negative k");
   const vidx_t peel_dim = side == Side::kV1 ? g.n1() : g.n2();
 

@@ -13,7 +13,6 @@
 #include "graph/io_binary.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
-#include "obs/trace.hpp"
 #include "sparse/ops.hpp"
 #include "svc/fault.hpp"
 #include "util/crc32.hpp"
@@ -66,7 +65,7 @@ void require_routed(std::span<const svc::EdgeUpdate> batch, const char* who,
 }
 
 Checkpoint read_checkpoint(const std::string& path) {
-  BFC_TRACE_SCOPE("svc.restore");
+  const obs::Span phase("svc.restore");
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open snapshot: " + path);
 
@@ -141,13 +140,10 @@ LocalShard::LocalShard(int id, vidx_t n1, vidx_t n2, vidx_t lo, vidx_t hi)
 
 svc::PublishResult LocalShard::apply(std::span<const svc::EdgeUpdate> batch) {
   require_routed(batch, "LocalShard", lo_, hi_, id_);
-  BFC_TRACE_SCOPE("svc.publish");
   // Every publish roots its own trace (no head sampling: publishes are
   // writer-side and rare, and the sharded bench's concurrency self-check
   // needs to see every one).
-  obs::TraceContext pub_ctx;
-  if (obs::SpanLog::enabled()) pub_ctx = obs::TraceContext::root();
-  obs::Span pub_span(pub_ctx, "svc.shard.publish");
+  obs::Span pub_span("svc.shard.publish");
   const MutexLock lock(writer_mu_);
 
   svc::PublishResult result;
@@ -192,7 +188,7 @@ svc::PublishResult LocalShard::apply(std::span<const svc::EdgeUpdate> batch) {
 }
 
 void LocalShard::persist(const std::string& path) const {
-  BFC_TRACE_SCOPE("svc.persist");
+  const obs::Span phase("svc.persist");
   // Pin once: everything below reads the immutable snapshot, so the writer
   // keeps publishing and readers keep answering while we serialise.
   const svc::SnapshotPtr snap = head_.load_acquire();

@@ -18,7 +18,7 @@ void Executor::close_queue_span(const Task& task, const char* outcome) {
   rec.span_id = obs::SpanLog::next_id();
   rec.name = "svc.queue";
   rec.ts_us = task.enqueue_ts_us;
-  rec.dur_us = obs::Tracer::now_us() - task.enqueue_ts_us;
+  rec.dur_us = obs::now_us() - task.enqueue_ts_us;
   rec.tid = thread_id();
   rec.add_tag("outcome", outcome);
   obs::SpanLog::record(std::move(rec));

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "obs/spans.hpp"
-#include "obs/trace.hpp"
 #include "svc/request.hpp"
 #include "util/common.hpp"
 #include "util/sync.hpp"
@@ -112,7 +111,7 @@ class Executor {
     task.deadline = deadline;
     if (obs::SpanLog::enabled() && trace.active()) {
       task.trace = trace;
-      task.enqueue_ts_us = obs::Tracer::now_us();
+      task.enqueue_ts_us = obs::now_us();
     }
     // std::function requires copyable callables, so the packaged state
     // lives behind the shared promise pointer.
@@ -171,7 +170,7 @@ class Executor {
     std::function<void(OverloadError::Reason)> abandon;
     Deadline deadline;
     obs::TraceContext trace;         // active -> queue-wait span on resolve
-    std::int64_t enqueue_ts_us = 0;  // Tracer clock at admission
+    std::int64_t enqueue_ts_us = 0;  // obs::now_us() clock at admission
   };
 
   /// Closes the task's queue-wait span (no-op for untraced tasks).

@@ -13,7 +13,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/spans.hpp"
-#include "obs/trace.hpp"
 #include "shard/router.hpp"
 #include "shard/transport.hpp"
 #include "sparse/ops.hpp"
@@ -859,7 +858,6 @@ ButterflyService::TipVector ButterflyService::tips_for(
     }
   }
   if (compute) {
-    BFC_TRACE_SCOPE(v1_side ? "svc.tip_pass_v1" : "svc.tip_pass_v2");
     BFC_COUNT_ADD("svc.tip_passes", 1);
     // The kernel span belongs to the request that computes; every coalesced
     // waiter's own query span references the same pass only through timing.

@@ -1,7 +1,7 @@
 // Allocation regression suite: a counting global operator new pins down
-// that passing checks and inert span tags cost no heap traffic, and that
-// the number of allocations behind a CSR build or a snapshot publish does
-// not scale with the edge count. Built as its own executable so the
+// that passing checks, inert span tags and disabled phase spans cost no heap
+// traffic, and that the number of allocations behind a CSR build or a
+// snapshot publish does not scale with the edge count. Built as its own executable so the
 // replacement operator new sees only these tests. No timing anywhere: every
 // assertion is on an exact allocation count.
 #include <gtest/gtest.h>
@@ -137,6 +137,43 @@ TEST(AllocFree, InertSpanTagsAllocateNothing) {
   });
   EXPECT_FALSE(armed);
   EXPECT_EQ(n, 0);
+}
+
+// Longer than libstdc++'s 15-character small-string buffer, so anything that
+// copied the name into a std::string would have to allocate.
+constexpr const char* kLongPhase = "kernel.wedge_parallel";
+
+/// Allocations of 1000 phase spans opened and closed while the log is off.
+std::int64_t disabled_phase_span_allocations() {
+  bool armed = true;
+  const std::int64_t n = allocations_during([&] {
+    for (int i = 0; i < 1000; ++i) {
+      obs::Span phase(kLongPhase);
+      armed = armed && phase.armed();
+      phase.tag("shard", std::uint64_t{7});
+    }
+  });
+  EXPECT_FALSE(armed);
+  return n;
+}
+
+TEST(AllocFree, DisabledPhaseSpanWithLongNameAllocatesNothing) {
+  obs::SpanLog::set_enabled(false);
+  EXPECT_EQ(disabled_phase_span_allocations(), 0);
+}
+
+TEST(AllocFree, DisablingTheSpanLogLeavesNoResidualCost) {
+  if constexpr (obs::kMetricsEnabled) {
+    obs::SpanLog::clear();
+    obs::SpanLog::set_enabled(true);
+    { const obs::Span phase(kLongPhase); }
+    obs::SpanLog::set_enabled(false);
+    EXPECT_EQ(obs::SpanLog::snapshot().size(), 1u);
+  }
+  EXPECT_EQ(disabled_phase_span_allocations(), 0);
+  EXPECT_EQ(obs::SpanLog::snapshot().size(),
+            obs::kMetricsEnabled ? 1u : 0u);  // nothing recorded while off
+  obs::SpanLog::clear();
 }
 
 /// Loads `per_row` edges onto every V1 vertex of a 200 x 200 store,

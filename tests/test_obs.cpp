@@ -1,5 +1,5 @@
 // Tests for the observability layer (src/obs/): sharded counters under
-// OpenMP, histogram bucketing, the JSON value tree, scoped tracing, and the
+// OpenMP, histogram bucketing, the JSON value tree, span tracing, and the
 // RunReport — plus an end-to-end check that the kernel counters recorded
 // during a counting run agree with the dense wedge specification.
 #include <netinet/in.h>
@@ -24,7 +24,6 @@
 #include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "obs/spans.hpp"
-#include "obs/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -172,48 +171,93 @@ TEST(ObsJson, ParsesUnicodeEscapes) {
 
 // ------------------------------------------------------------------ Trace
 
-TEST(ObsTrace, RecordsSpansOnlyWhenEnabled) {
-  obs::Tracer::clear();
-  obs::Tracer::set_enabled(false);
-  { BFC_TRACE_SCOPE("test.disabled"); }
-  EXPECT_TRUE(obs::Tracer::events().empty());
-
-  obs::Tracer::set_enabled(true);
-  { BFC_TRACE_SCOPE("test.enabled"); }
-  obs::Tracer::set_enabled(false);
-
-  const auto events = obs::Tracer::events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "test.enabled");
-  EXPECT_GE(events[0].ts_us, 0);
-  EXPECT_GE(events[0].dur_us, 0);
-  obs::Tracer::clear();
-}
-
-TEST(ObsTrace, ChromeJsonIsValidTraceEventFormat) {
-  obs::Tracer::clear();
-  obs::Tracer::set_enabled(true);
-  { BFC_TRACE_SCOPE("span.a"); }
-  { BFC_TRACE_SCOPE("span.b"); }
-  obs::Tracer::set_enabled(false);
-
-  const std::string path = ::testing::TempDir() + "bfc_trace_test.json";
-  obs::Tracer::write_chrome_json(path);
+obs::Json read_json_file(const std::string& path) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  const obs::Json doc = obs::Json::parse(buf.str());
+  return obs::Json::parse(buf.str());
+}
+
+TEST(ObsTrace, RecordsSpansOnlyWhenEnabled) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::SpanLog::clear();
+  obs::SpanLog::set_enabled(false);
+  { const obs::Span phase("test.disabled"); }
+  EXPECT_TRUE(obs::SpanLog::snapshot().empty());
+
+  obs::SpanLog::set_enabled(true);
+  { const obs::Span phase("test.enabled"); }
+  obs::SpanLog::set_enabled(false);
+
+  const std::vector<obs::SpanRecord> spans = obs::SpanLog::snapshot();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "test.enabled");
+  // A phase span roots its own trace.
+  EXPECT_NE(spans[0].trace_id, 0u);
+  EXPECT_EQ(spans[0].parent_id, 0u);
+  EXPECT_GE(spans[0].ts_us, 0);
+  EXPECT_GE(spans[0].dur_us, 0);
+  obs::SpanLog::clear();
+}
+
+TEST(ObsTrace, ChromeJsonRendersPhaseAndRequestSpans) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::SpanLog::clear();
+  obs::SpanLog::set_enabled(true);
+  {
+    obs::Span phase("span.phase");
+    phase.tag("shard", std::uint64_t{3});
+  }
+  {
+    obs::Span request(obs::TraceContext::root(), "span.request");
+    request.tag("outcome", "exact");
+  }
+  obs::SpanLog::set_enabled(false);
+
+  const std::string path = ::testing::TempDir() + "bfc_trace_test.json";
+  obs::SpanLog::write_chrome_json(path);
+  const obs::Json doc = read_json_file(path);
   ASSERT_TRUE(doc.has("traceEvents"));
-  ASSERT_EQ(doc.at("traceEvents").size(), 2u);
+  const obs::Json& events = doc.at("traceEvents");
+  ASSERT_EQ(events.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
-    const obs::Json& ev = doc.at("traceEvents").at(i);
+    const obs::Json& ev = events.at(i);
     EXPECT_EQ(ev.at("ph").as_string(), "X");
-    EXPECT_TRUE(ev.at("name").is_string());
     EXPECT_TRUE(ev.at("ts").is_number());
     EXPECT_TRUE(ev.at("dur").is_number());
     EXPECT_TRUE(ev.at("tid").is_int());
   }
-  obs::Tracer::clear();
+  // Phase and request spans render alike, tags becoming chrome args.
+  EXPECT_EQ(events.at(0).at("name").as_string(), "span.phase");
+  EXPECT_EQ(events.at(0).at("args").at("shard").as_string(), "3");
+  EXPECT_EQ(events.at(1).at("name").as_string(), "span.request");
+  EXPECT_EQ(events.at(1).at("args").at("outcome").as_string(), "exact");
+  EXPECT_EQ(doc.at("otherData").at("dropped").as_int(), 0);
+  obs::SpanLog::clear();
+  std::remove(path.c_str());
+}
+
+TEST(ObsTrace, ChromeJsonCarriesTheDroppedCount) {
+  if constexpr (!obs::kMetricsEnabled) {
+    GTEST_SKIP() << "built with BFC_METRICS=OFF";
+  }
+  obs::SpanLog::clear();
+  obs::SpanLog::set_capacity(2);
+  obs::SpanLog::set_enabled(true);
+  for (int i = 0; i < 5; ++i) obs::Span("span.phase").close();
+  obs::SpanLog::set_enabled(false);
+
+  const std::string path = ::testing::TempDir() + "bfc_trace_dropped.json";
+  obs::SpanLog::write_chrome_json(path);
+  const obs::Json doc = read_json_file(path);
+  EXPECT_EQ(doc.at("traceEvents").size(), 2u);
+  EXPECT_EQ(doc.at("otherData").at("dropped").as_int(), 3);
+  obs::SpanLog::clear();
+  obs::SpanLog::set_capacity(obs::SpanLog::kDefaultCapacity);
   std::remove(path.c_str());
 }
 
@@ -438,10 +482,7 @@ TEST(ObsSpans, WriteJsonRoundTrips) {
   const std::string path =
       ::testing::TempDir() + "bfc_spans_roundtrip.json";
   obs::SpanLog::write_json(path);
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const obs::Json doc = obs::Json::parse(buf.str());
+  const obs::Json doc = read_json_file(path);
   ASSERT_TRUE(doc.has("spans"));
   ASSERT_EQ(doc.at("spans").size(), 1u);
   const obs::Json& span = doc.at("spans").at(0);
@@ -626,10 +667,7 @@ TEST(ObsFlight, DumpWritesParseableJson) {
   obs::FlightRecorder::record("check_fail", "x > 0 \"quoted\"", 9, 0, 0);
   const std::string path = ::testing::TempDir() + "bfc_flight_test.json";
   ASSERT_TRUE(obs::FlightRecorder::dump(path, "unit test"));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const obs::Json doc = obs::Json::parse(buf.str());
+  const obs::Json doc = read_json_file(path);
   EXPECT_EQ(doc.at("reason").as_string(), "unit test");
   EXPECT_EQ(doc.at("recorded").as_int(), 1);
   ASSERT_EQ(doc.at("events").size(), 1u);
